@@ -311,10 +311,11 @@ fn main() {
     );
 
     // context multiplexing: thousands of concurrent logical-qubit streams
-    // interleaved on one stream's workers. The armed LUT pre-decoder defers
-    // round driving (fast-path shots never occupy a context bank); with the
-    // pre-decoder off the backend banks contexts eagerly, exercising
-    // save/restore on every interleaved switch.
+    // interleaved on one stream's workers. The armed LUT pre-decoder does
+    // not switch contexts, so each shot buffers its rounds and decodes whole
+    // at finish without ever occupying a bank; with the pre-decoder off the
+    // backend banks contexts eagerly, exercising save/restore on every
+    // interleaved switch.
     let stream_counts = if max_streams >= 10 {
         vec![max_streams / 10, max_streams]
     } else {

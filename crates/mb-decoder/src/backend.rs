@@ -82,11 +82,15 @@ pub trait DecoderBackend: Send {
     /// Whether this backend can bank its in-flight round-wise state per
     /// context and switch between banks — the software analog of the
     /// hardware's `contextBits`-selected `Mem[VertexPersistent]` memory.
-    /// When `true`, the streaming scheduler may interleave many partially
-    /// ingested shots on one backend instance via
+    /// True only when [`DecoderBackend::supports_round_ingestion`] holds
+    /// *and* [`DecoderBackend::ingest_round`] drives each round into the
+    /// running solution on arrival (a backend that merely logs rounds until
+    /// the last one gains nothing from early ingestion). When `true`, the
+    /// streaming scheduler interleaves many partially ingested shots on one
+    /// backend instance via
     /// [`DecoderBackend::context_save`]/[`DecoderBackend::context_restore`];
-    /// when `false`, it buffers each context's rounds and decodes only
-    /// complete shots.
+    /// when `false`, it buffers each context's rounds and decodes the
+    /// assembled shot with one [`DecoderBackend::decode`] call.
     fn supports_context_switching(&self) -> bool {
         false
     }
@@ -109,15 +113,6 @@ pub trait DecoderBackend: Send {
     /// Discards the state banked under `slot` (the shot was abandoned),
     /// freeing the bank for reuse by another context.
     fn context_discard(&mut self, _slot: usize) {}
-
-    /// Whether [`DecoderBackend::ingest_round`] merely *logs* rounds instead
-    /// of driving the engine (the LUT pre-decoder's arm-then-replay shape).
-    /// Such a backend gains nothing from eager per-round context switching —
-    /// the scheduler buffers its rounds and plays the whole shot at finish,
-    /// which also lets fast-path shots retire without ever occupying a bank.
-    fn defers_round_driving(&self) -> bool {
-        false
-    }
 
     /// Arms (or clears, with `None`) a decode deadline. A backend that
     /// honors deadlines checks the wall clock at a coarse cadence inside its

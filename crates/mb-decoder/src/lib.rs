@@ -107,7 +107,3 @@ pub use uf::{HeliosLatencyModel, UnionFindDecoderAdapter};
 pub use window::{
     CommittedCorrection, WindowConfig, WindowOutcome, WindowPlan, WindowedDecoder, WindowedFeeder,
 };
-
-/// Backwards-compatible alias: the decoder interface was renamed to
-/// [`DecoderBackend`] when construction/reset/stats moved into the trait.
-pub use backend::DecoderBackend as Decoder;

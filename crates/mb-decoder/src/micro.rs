@@ -105,17 +105,15 @@ impl MicroBlossomConfig {
 }
 
 /// One banked context of an in-flight stream shot: the driver-level
-/// [`DualContext`] plus the decoder-level per-shot state (CPU primal trees,
-/// escalation flag, replay log). A bank is everything
-/// [`DecoderBackend::context_restore`] needs to continue the shot
-/// bit-identically to one that never left the engine.
+/// [`DualContext`] plus the decoder-level CPU primal trees. A bank is
+/// everything [`DecoderBackend::context_restore`] needs to continue the shot
+/// bit-identically to one that never left the engine. Only decoders without
+/// an armed LUT pre-decoder bank contexts, so no escalation flag or replay
+/// log is ever in flight.
 #[derive(Debug, Clone)]
 struct MicroContextBank {
     dual: DualContext,
     primal: PrimalModule,
-    escalated: bool,
-    round_log: Vec<Vec<VertexIndex>>,
-    rounds_logged: usize,
 }
 
 /// The Micro Blossom heterogeneous decoder.
@@ -643,15 +641,21 @@ impl DecoderBackend for MicroBlossomDecoder {
         self.outcome_from(matching, breakdown)
     }
 
-    /// A stream decoder can bank its round-wise state per context: the
-    /// accelerator's authoritative defect rows (O(active) to switch, thanks
-    /// to the sparse active set), the driver's CPU node table, and the
-    /// decoder-level primal trees and escalation state.
+    /// A stream decoder without an armed LUT pre-decoder banks its
+    /// round-wise state per context: the accelerator's authoritative defect
+    /// rows (O(active) to switch, thanks to the sparse active set), the
+    /// driver's CPU node table, and the decoder-level primal trees. An armed
+    /// decoder only loads and logs rounds until the last one, so its shots
+    /// decode whole at finish instead.
     fn supports_context_switching(&self) -> bool {
-        self.config.stream_decoding
+        self.config.stream_decoding && self.predecoder.is_none()
     }
 
     fn context_save(&mut self, slot: usize) {
+        debug_assert!(
+            self.predecoder.is_none(),
+            "a decoder with an armed LUT pre-decoder is never banked"
+        );
         if self.banks.len() <= slot {
             self.banks.resize_with(slot + 1, || None);
         }
@@ -659,16 +663,10 @@ impl DecoderBackend for MicroBlossomDecoder {
             Box::new(MicroContextBank {
                 dual: DualContext::default(),
                 primal: PrimalModule::new(),
-                escalated: false,
-                round_log: Vec::new(),
-                rounds_logged: 0,
             })
         });
         self.driver.save_context_into(&mut bank.dual);
         std::mem::swap(&mut self.primal, &mut bank.primal);
-        std::mem::swap(&mut self.round_log, &mut bank.round_log);
-        bank.escalated = self.escalated;
-        bank.rounds_logged = self.rounds_logged;
     }
 
     fn context_restore(&mut self, slot: usize) {
@@ -679,9 +677,6 @@ impl DecoderBackend for MicroBlossomDecoder {
             .expect("context_restore of a slot that was never saved");
         self.driver.restore_context(&mut bank.dual);
         std::mem::swap(&mut self.primal, &mut bank.primal);
-        std::mem::swap(&mut self.round_log, &mut bank.round_log);
-        self.escalated = bank.escalated;
-        self.rounds_logged = bank.rounds_logged;
         self.bank_switches += 1;
     }
 
@@ -689,14 +684,6 @@ impl DecoderBackend for MicroBlossomDecoder {
         if let Some(bank) = self.banks.get_mut(slot) {
             *bank = None;
         }
-    }
-
-    /// While the LUT pre-decoder is armed, `ingest_round` only loads and
-    /// logs — the dual phase starts at the final round (or not at all, on
-    /// the fast path). Buffering such shots outside the engine is strictly
-    /// cheaper than banking them.
-    fn defers_round_driving(&self) -> bool {
-        self.predecoder.is_some()
     }
 
     fn accel_observability(&self) -> Option<AccelObservability> {

@@ -25,8 +25,10 @@
 //!   sampled shots — and therefore every decode outcome — are identical
 //!   regardless of how many workers participate or which worker happens to
 //!   claim which chunk;
-//! * **in-place merge**: every worker writes each outcome directly into its
-//!   slot of a pre-sized output buffer; no channels, no re-ordering pass.
+//! * **chunked merge**: a worker collects each claimed chunk's outcomes in
+//!   one vector and hands it back once per chunk; the submitter orders the
+//!   chunks by their first shot index and concatenates them — no channels,
+//!   no per-shot synchronization.
 //!
 //! ```
 //! use mb_decoder::pipeline::ShardedPipeline;
@@ -52,9 +54,7 @@ use mb_graph::syndrome::{ErrorSampler, Shot, SyndromePattern};
 use mb_graph::{DecodingGraph, ObservableMask};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::cell::UnsafeCell;
 use std::collections::VecDeque;
-use std::mem::MaybeUninit;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
@@ -212,15 +212,11 @@ enum JobInput {
     Explicit { shots: Arc<[Shot]> },
 }
 
-/// One output slot, written by exactly one worker. Holds a `Result` so a
-/// panicking shot can record a typed [`DecodeError::WorkerPanic`] without
-/// losing the rest of the batch.
-struct Slot(UnsafeCell<MaybeUninit<Result<ShotOutcome, DecodeError>>>);
-
-// SAFETY: workers write disjoint slots (each index is claimed by exactly one
-// worker through the atomic cursor), and the main thread only reads after
-// every participant has signalled completion through the job mutex.
-unsafe impl Sync for Slot {}
+/// The outcomes of one claimed chunk: its first shot index and one
+/// `Result` per shot, so a panicking shot records a typed
+/// [`DecodeError::WorkerPanic`] in its place without losing the rest of
+/// the batch.
+type ChunkOutcomes = (usize, Vec<Result<ShotOutcome, DecodeError>>);
 
 /// Completion state of a job, updated under the mutex.
 struct JobDone {
@@ -233,7 +229,7 @@ struct JobDone {
 /// Where the participating workers of a job pull their work from.
 ///
 /// This is the continuous work-source abstraction the streaming front-end
-/// sits on: a *batch* source is a pre-sized slot buffer walked by an atomic
+/// sits on: a *batch* source is a shot range walked chunk-wise by an atomic
 /// cursor (one-shot, exhausted when the cursor passes the end), a *stream*
 /// source is a live bounded queue ([`crate::stream`]) that keeps the workers
 /// pulling until it is closed and drained.
@@ -262,20 +258,19 @@ struct BatchSource {
     total: usize,
     /// Shot indices claimed per cursor increment.
     chunk: usize,
-    /// Output buffer, one slot per shot.
-    slots: Box<[Slot]>,
+    /// Completed chunks, in completion order; appended once per chunk.
+    chunks: Mutex<Vec<ChunkOutcomes>>,
 }
 
 impl BatchSource {
-    /// Decodes one shot index on `backend`, writing the outcome into its
-    /// slot.
+    /// Decodes one shot index on `backend`.
     fn decode_index(
         &self,
         backend: &mut dyn DecoderBackend,
         sampler: &ErrorSampler<'_>,
         index: usize,
-    ) {
-        let outcome = match &self.input {
+    ) -> ShotOutcome {
+        match &self.input {
             JobInput::Sampled { seed } => {
                 let mut rng = shot_rng(*seed, index as u64);
                 let shot = sampler.sample(&mut rng);
@@ -287,18 +282,7 @@ impl BatchSource {
                 decode_one(backend, index, &shot)
             }
             JobInput::Explicit { shots } => decode_one(backend, index, &shots[index]),
-        };
-        // SAFETY: `index` was claimed from the cursor by this worker only,
-        // and the submitting thread does not read until we signal completion.
-        unsafe { (*self.slots[index].0.get()).write(Ok(outcome)) };
-    }
-
-    /// Records a typed failure for a shot whose decode panicked. Same
-    /// exclusive-slot discipline as [`Self::decode_index`].
-    fn fail_index(&self, index: usize, error: DecodeError) {
-        // SAFETY: as in `decode_index` — the index was claimed by this
-        // worker and nothing was written to the slot before the panic.
-        unsafe { (*self.slots[index].0.get()).write(Err(error)) };
+        }
     }
 }
 
@@ -857,8 +841,8 @@ impl DecodePool {
     ///
     /// # Panics
     /// Only on a *job-level* panic (infrastructure failure outside any shot,
-    /// e.g. a backend build): the slots may then be uninitialized, so there
-    /// is nothing typed to return.
+    /// e.g. a backend build): chunks may then be missing, so there is
+    /// nothing typed to return.
     fn run_results(
         &self,
         spec: &BackendSpec,
@@ -874,8 +858,6 @@ impl DecodePool {
         // small chunks spread short batches across workers; the cap keeps
         // cursor traffic negligible for large ones
         let chunk = (total / (participants * 4)).clamp(1, MAX_STEAL_CHUNK);
-        let mut slots = Vec::with_capacity(total);
-        slots.resize_with(total, || Slot(UnsafeCell::new(MaybeUninit::uninit())));
         let job = Arc::new(JobState::new(
             spec.clone(),
             Arc::clone(graph),
@@ -884,7 +866,7 @@ impl DecodePool {
                 cursor: AtomicUsize::new(0),
                 total,
                 chunk,
-                slots: slots.into_boxed_slice(),
+                chunks: Mutex::new(Vec::with_capacity(total.div_ceil(chunk))),
             }),
             participants,
         ));
@@ -895,14 +877,14 @@ impl DecodePool {
         let WorkSource::Batch(batch) = &job.source else {
             unreachable!("run_results() always builds a batch source");
         };
-        // SAFETY: every index in 0..total was claimed by exactly one worker
-        // and written before that worker decremented `remaining` (a panicked
-        // shot's slot is written by `fail_index`); the mutex handoff in
-        // wait_job makes those writes visible here. Each slot is read exactly
-        // once and `MaybeUninit` suppresses the redundant drop.
-        (0..total)
-            .map(|i| unsafe { (*batch.slots[i].0.get()).assume_init_read() })
-            .collect()
+        let mut chunks = std::mem::take(&mut *batch.chunks.lock().expect("batch mutex poisoned"));
+        chunks.sort_unstable_by_key(|&(start, _)| start);
+        let mut results = Vec::with_capacity(total);
+        for (_, outcomes) in chunks {
+            results.extend(outcomes);
+        }
+        debug_assert_eq!(results.len(), total, "every shot reports exactly once");
+        results
     }
 
     /// Infallible wrapper over [`Self::run_results`] for callers that predate
@@ -928,7 +910,7 @@ impl DecodePool {
             .collect()
     }
 
-    /// Total shot decodes that panicked and were isolated (batch slots or
+    /// Total shot decodes that panicked and were isolated (batch results or
     /// stream tickets carrying [`DecodeError::WorkerPanic`]), plus job-level
     /// worker panics.
     pub fn worker_panics(&self) -> u64 {
@@ -1034,13 +1016,14 @@ fn run_job(
                         break;
                     }
                     let end = (start + batch.chunk).min(batch.total);
+                    let mut outcomes = Vec::with_capacity(end - start);
                     let mut index = start;
                     while index < end {
                         let backend = cache.get_or_build(&job.spec, &job.graph);
                         let before = backend.accel_observability();
                         // per-shot isolation: a panicking decode poisons only its
-                        // own slot; the rest of the chunk continues on a rebuilt
-                        // backend
+                        // own result; the rest of the chunk continues on a
+                        // rebuilt backend
                         let shots = catch_unwind(AssertUnwindSafe(|| {
                             while index < end {
                                 #[cfg(any(test, feature = "chaos"))]
@@ -1055,20 +1038,17 @@ fn run_job(
                                         crate::chaos::ShotFault::None => {}
                                     }
                                 }
-                                batch.decode_index(backend, &sampler, index);
+                                outcomes.push(Ok(batch.decode_index(backend, &sampler, index)));
                                 index += 1;
                             }
                         }));
                         telemetry.fold(before, backend.accel_observability());
                         if let Err(payload) = shots {
                             // `index` still names the shot that panicked: the
-                            // closure increments it only after a successful write
-                            batch.fail_index(
-                                index,
-                                DecodeError::WorkerPanic {
-                                    message: panic_message(payload),
-                                },
-                            );
+                            // closure increments it only after recording a result
+                            outcomes.push(Err(DecodeError::WorkerPanic {
+                                message: panic_message(payload),
+                            }));
                             index += 1;
                             telemetry.worker_panics.fetch_add(1, Ordering::Relaxed);
                             telemetry.worker_respawns.fetch_add(1, Ordering::Relaxed);
@@ -1077,6 +1057,11 @@ fn run_job(
                             cache.discard(&job.spec, &job.graph);
                         }
                     }
+                    batch
+                        .chunks
+                        .lock()
+                        .expect("batch mutex poisoned")
+                        .push((start, outcomes));
                 }
             }
             WorkSource::Window(window) => {

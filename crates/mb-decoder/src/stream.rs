@@ -20,15 +20,21 @@
 //!   [`RoundFeeder`] backed by one slot of a [`ContextPool`], the software
 //!   analog of the hardware's context memory (`contextBits` selecting a
 //!   `Mem[VertexPersistent]` row set). Thousands of logical-qubit streams
-//!   can hold shots open concurrently: a pushed round routes to the worker
-//!   owning that context, which swaps the context's state bank into its
-//!   engine ([`DecoderBackend::context_restore`]), folds the round in
-//!   (§6 fusion via [`DecoderBackend::ingest_round`]), and banks the state
-//!   again when another context needs the engine. Shots complete out of
-//!   order; zero-defect shots and shots a backend defers (the LUT
-//!   pre-decoder's arm-then-replay shape) never occupy a bank. Backends
-//!   without native round support buffer the rounds and decode the
-//!   assembled syndrome — same result, no early start.
+//!   can hold shots open concurrently. Rounds take one of two paths, chosen
+//!   by [`DecoderBackend::supports_context_switching`]:
+//!   - *banked* — a pushed round routes to the worker owning that context,
+//!     which swaps the context's state bank into its engine
+//!     ([`DecoderBackend::context_restore`]), folds the round in (§6 fusion
+//!     via [`DecoderBackend::ingest_round`]), and banks the state again
+//!     when another context needs the engine. Zero-defect shots never
+//!     occupy a bank;
+//!   - *whole shot* — every other backend (the LUT-armed Micro Blossom,
+//!     which only loads rounds until the last one, and backends without
+//!     round ingestion) buffers the rounds in the slot and decodes the
+//!     assembled syndrome with one [`DecoderBackend::decode`] call when the
+//!     feeder finishes — same result, no bank.
+//!
+//!   Shots complete out of order on both paths.
 //! * **bit-identical to batch** — a shot decodes to exactly the same
 //!   [`ShotOutcome`] the batch pipeline produces for it, regardless of how
 //!   its rounds interleave with other contexts (restoring a bank rebuilds
@@ -327,11 +333,13 @@ struct SlotEntry {
 /// workers serving one stream.
 ///
 /// Each open [`RoundFeeder`] owns one slot. Rounds buffer in the slot and
-/// route to the worker that claimed it; that worker save/restores
-/// per-context state banks on its decode engine
-/// ([`DecoderBackend::context_save`] / [`DecoderBackend::context_restore`],
-/// both O(active defects) for the accelerator backends), so thousands of
-/// concurrent logical-qubit streams interleave on a handful of engines.
+/// route to the worker that claimed it. On a backend that supports context
+/// switching, that worker save/restores per-context state banks on its
+/// decode engine ([`DecoderBackend::context_save`] /
+/// [`DecoderBackend::context_restore`], both O(active defects) for the
+/// accelerator backends), so thousands of concurrent logical-qubit streams
+/// interleave on a handful of engines; on any other backend the rounds wait
+/// in the slot until the feeder finishes and the shot decodes whole.
 /// Slots are recycled through a free list with a generation counter:
 /// allocation, completion and teardown are O(1) per context, and a stale
 /// feeder handle cannot corrupt a recycled slot.
@@ -1017,15 +1025,10 @@ impl StreamShared {
         sampler: &ErrorSampler<'_>,
         graph: &Arc<DecodingGraph>,
     ) -> ServeOutcome {
-        let supports_rounds = backend.supports_round_ingestion();
-        // eager = interleave contexts on the engine via state banks. A
-        // backend that defers round driving (the LUT pre-decoder's
-        // arm-then-replay shape) gains nothing from early ingestion, so its
-        // shots buffer in the slot and replay at finish — they never
-        // occupy a bank.
-        let eager = supports_rounds
-            && backend.supports_context_switching()
-            && !backend.defers_round_driving();
+        // eager = interleave contexts on the engine via state banks; every
+        // other backend's shots buffer in the slot and decode whole at
+        // finish, never occupying a bank
+        let eager = backend.supports_context_switching();
         self.eager_routing.store(eager, Ordering::Relaxed);
         let num_layers = graph.num_layers();
         let mut seat = EngineSeat {
@@ -1035,6 +1038,7 @@ impl StreamShared {
         let mut items: VecDeque<StreamItem> = VecDeque::new();
         let mut scratch: VecDeque<Vec<VertexIndex>> = VecDeque::new();
         let mut used: Vec<Vec<VertexIndex>> = Vec::new();
+        let mut assembled = SyndromePattern::empty();
         // union-find fallback for deadline-degraded shots, built on first
         // miss only — deadline-free streams never pay for it
         let mut fallback: Option<Box<dyn DecoderBackend>> = None;
@@ -1052,10 +1056,10 @@ impl StreamShared {
                             &mut seat,
                             slot,
                             eager,
-                            supports_rounds,
                             num_layers,
                             &mut scratch,
                             &mut used,
+                            &mut assembled,
                         );
                     }));
                     if let Err(payload) = caught {
@@ -1123,10 +1127,10 @@ impl StreamShared {
                                         &mut seat,
                                         slot,
                                         eager,
-                                        supports_rounds,
                                         num_layers,
                                         &mut scratch,
                                         &mut used,
+                                        &mut assembled,
                                     );
                                 }
                             }
@@ -1382,15 +1386,15 @@ impl StreamShared {
         seat: &mut EngineSeat<'_>,
         slot: usize,
         eager: bool,
-        supports_rounds: bool,
         num_layers: usize,
         scratch: &mut VecDeque<Vec<VertexIndex>>,
         used: &mut Vec<Vec<VertexIndex>>,
+        assembled: &mut SyndromePattern,
     ) {
         if eager {
             self.pump_eager(seat, slot, num_layers, scratch, used);
         } else {
-            self.finish_buffered(seat, slot, supports_rounds, num_layers, scratch, used);
+            self.finish_buffered(seat, slot, scratch, used, assembled);
         }
         self.recycle_rounds(used);
     }
@@ -1523,20 +1527,20 @@ impl StreamShared {
         seat.current = Some(slot);
     }
 
-    /// Completion path for backends that do not interleave contexts:
-    /// nothing runs until the feeder finishes, then the buffered rounds
-    /// play in one sitting (round-ingesting backends, e.g. with an armed
-    /// LUT pre-decoder) or assemble into one syndrome (the rest). The
-    /// engine is never banked, so fast-path shots retire without ever
-    /// occupying a context bank.
+    /// Completion path for backends that do not bank contexts: nothing runs
+    /// until the feeder finishes, then the buffered rounds assemble into one
+    /// syndrome — in a buffer the worker reuses — and decode with a single
+    /// [`DecoderBackend::decode`] call. A round-ingesting backend's `decode`
+    /// is built from the same per-round primitives, so the outcome is
+    /// bit-identical to feeding the rounds one at a time. The engine is
+    /// never banked, so these shots never occupy a context bank.
     fn finish_buffered(
         &self,
         seat: &mut EngineSeat<'_>,
         slot: usize,
-        supports_rounds: bool,
-        num_layers: usize,
         scratch: &mut VecDeque<Vec<VertexIndex>>,
         used: &mut Vec<Vec<VertexIndex>>,
+        assembled: &mut SyndromePattern,
     ) {
         debug_assert!(scratch.is_empty());
         {
@@ -1550,46 +1554,15 @@ impl StreamShared {
             }
             std::mem::swap(&mut ctx.rounds, scratch);
         }
-        let backend = &mut *seat.backend;
-        let outcome = if !supports_rounds {
-            let mut defects: Vec<VertexIndex> = Vec::new();
-            for round in scratch.drain(..) {
-                defects.extend_from_slice(&round);
-                used.push(round);
-            }
-            backend.decode(&SyndromePattern::new(defects))
-        } else {
-            backend.begin_rounds();
-            let mut layer = 0usize;
-            while scratch.len() > 1 {
-                let round = scratch.pop_front().expect("len checked");
-                assert!(
-                    layer + 1 < num_layers,
-                    "round feeder pushed more rounds than the graph has layers ({num_layers})"
-                );
-                backend.ingest_round(layer, &round);
-                layer += 1;
-                used.push(round);
-            }
-            let last = scratch.pop_front();
-            let outcome = match &last {
-                Some(final_round) if layer + 1 == num_layers => {
-                    backend.finish_rounds(layer, final_round)
-                }
-                last => {
-                    if let Some(round) = last {
-                        backend.ingest_round(layer, round);
-                        layer += 1;
-                    }
-                    for t in layer..num_layers - 1 {
-                        backend.ingest_round(t, &[]);
-                    }
-                    backend.finish_rounds(num_layers - 1, &[])
-                }
-            };
-            used.extend(last);
-            outcome
-        };
+        assembled.defects.clear();
+        for round in scratch.drain(..) {
+            assembled.defects.extend_from_slice(&round);
+            used.push(round);
+        }
+        // the rounds are deduplicated and hold disjoint layers; sorting
+        // restores the pattern's sorted invariant without reallocating
+        assembled.defects.sort_unstable();
+        let outcome = seat.backend.decode(assembled);
         self.complete_context(slot, outcome);
     }
 
@@ -1917,7 +1890,8 @@ pub struct StreamStats {
     pub contexts_peak: u64,
     /// Context-bank restores performed by the serving workers
     /// ([`DecoderBackend::context_restore`] calls). Zero when the backend
-    /// buffers or defers round driving — those shots never bank.
+    /// does not support context switching — its shots decode whole at
+    /// finish and never bank.
     pub bank_switches: u64,
     /// Measurement rounds routed into context slots over the stream's
     /// lifetime (rounds pushed after a close or force-finish are dropped
@@ -2897,7 +2871,7 @@ mod tests {
         // the context-multiplexing differential: K streams round-robined
         // (with a per-layer shuffle) through one stream must be
         // bit-identical to K independent single-shot streams and to batch
-        // decoding, across backends (eager banked, deferring predecoder,
+        // decoding, across backends (eager banked, whole-shot predecoder,
         // buffering) and worker counts
         let graph = Arc::new(PhenomenologicalCode::rotated(3, 4, 0.05).decoding_graph());
         let k = 12;
@@ -2908,7 +2882,7 @@ mod tests {
             .collect();
         let num_layers = graph.num_layers();
         let specs = [
-            // LUT pre-decoder armed: shots defer round driving, never bank
+            // LUT pre-decoder armed: shots decode whole at finish, never bank
             BackendSpec::micro_full(Some(3)),
             // predecoder off: eager banked context interleaving
             BackendSpec::Micro(MicroBlossomConfig::full(&graph, Some(3)).without_predecoder()),
@@ -2992,7 +2966,10 @@ mod tests {
         // a non-empty round every layer; waiting until the buffered rounds
         // drain to the one-round lookahead before pushing the next layer
         // guarantees both contexts alternate on the single engine, so a
-        // restore (bank switch) is forced by construction.
+        // restore (bank switch) is forced by construction. The same feed on
+        // the LUT-armed default spec must never bank: its backend does not
+        // support context switching, so its rounds wait in the slots and
+        // each shot decodes whole at finish.
         let graph = Arc::new(PhenomenologicalCode::rotated(3, 4, 0.02).decoding_graph());
         let num_layers = graph.num_layers();
         assert!(num_layers >= 3, "needs enough layers to force a re-load");
@@ -3003,34 +2980,48 @@ mod tests {
                     .expect("every layer has a physical vertex")
             })
             .collect();
-        let spec =
-            BackendSpec::Micro(MicroBlossomConfig::full(&graph, Some(3)).without_predecoder());
-        let stream = StreamDecoder::builder(spec, Arc::clone(&graph))
-            .pool(Arc::new(DecodePool::new(1)))
-            .workers(1)
-            .queue_capacity(16)
-            .start();
-        let mut feeders = [stream.begin_shot(0).unwrap(), stream.begin_shot(0).unwrap()];
-        for &vertex in &by_layer {
-            for feeder in feeders.iter_mut() {
-                feeder.push_round(&[vertex]).unwrap();
+        let specs = [
+            (
+                BackendSpec::Micro(MicroBlossomConfig::full(&graph, Some(3)).without_predecoder()),
+                true,
+            ),
+            (BackendSpec::micro_full(Some(3)), false),
+        ];
+        for (spec, banks) in specs {
+            let pool = Arc::new(DecodePool::new(1));
+            let stream = StreamDecoder::builder(spec, Arc::clone(&graph))
+                .pool(Arc::clone(&pool))
+                .workers(1)
+                .queue_capacity(16)
+                .start();
+            let mut feeders = [stream.begin_shot(0).unwrap(), stream.begin_shot(0).unwrap()];
+            for &vertex in &by_layer {
+                for feeder in feeders.iter_mut() {
+                    feeder.push_round(&[vertex]).unwrap();
+                }
+                // both banked contexts keep at most their lookahead round
+                // buffered before the next layer goes in: every earlier
+                // round was genuinely applied, interleaved on the one engine
+                while banks && pending_rounds(&stream) > 2 {
+                    std::thread::yield_now();
+                }
             }
-            // both contexts keep at most their lookahead round buffered
-            // before the next layer goes in: every earlier round was
-            // genuinely applied, interleaved on the one engine
-            while pending_rounds(&stream) > 2 {
-                std::thread::yield_now();
+            for feeder in feeders {
+                feeder.finish().recv().unwrap();
             }
+            let stats = stream.close();
+            if banks {
+                assert!(
+                    stats.bank_switches > 0,
+                    "interleaved non-empty contexts on one engine must bank-switch"
+                );
+                assert!(pool.accel_bank_switches() > 0);
+            } else {
+                assert_eq!(stats.bank_switches, 0, "an armed LUT must never bank");
+                assert_eq!(pool.accel_bank_switches(), 0);
+            }
+            assert!(stats.finish_p99_us.is_some());
         }
-        for feeder in feeders {
-            feeder.finish().recv().unwrap();
-        }
-        let stats = stream.close();
-        assert!(
-            stats.bank_switches > 0,
-            "interleaved non-empty contexts on one engine must bank-switch"
-        );
-        assert!(stats.finish_p99_us.is_some());
     }
 
     #[test]

@@ -443,8 +443,14 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
+    /// Bytes not yet consumed — the upper bound for any count read from
+    /// the input, since every counted item costs at least one byte.
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.offset
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], CorpusError> {
-        if self.offset + n > self.bytes.len() {
+        if n > self.remaining() {
             return Err(CorpusError::Truncated {
                 offset: self.bytes.len(),
             });
@@ -575,11 +581,13 @@ impl TraceCorpus {
             } else {
                 0.0
             };
-            let mut rounds = Vec::with_capacity(num_layers);
+            // header counts are untrusted: each layer's count and each
+            // defect cost at least one byte, so the bytes left bound both
+            let mut rounds = Vec::with_capacity(num_layers.min(r.remaining()));
             for _ in 0..num_layers {
                 let count_offset = r.offset;
                 let count = r.varint()? as usize;
-                let mut round = Vec::with_capacity(count.min(1 << 16));
+                let mut round = Vec::with_capacity(count.min(r.remaining()));
                 let mut previous: Option<u64> = None;
                 for _ in 0..count {
                     let raw = r.varint()?;

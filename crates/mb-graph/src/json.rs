@@ -196,15 +196,22 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Parses a JSON document.
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses once
+/// per level, so the cap keeps hostile input from overflowing the stack.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a JSON document in time and memory linear in its length.
 ///
 /// # Errors
 ///
-/// Returns a [`JsonError`] with the byte offset of the first problem.
+/// Returns a [`JsonError`] with the byte offset of the first problem,
+/// including documents nested deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut parser = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_whitespace();
     let value = parser.parse_value()?;
@@ -216,8 +223,11 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -249,8 +259,8 @@ impl Parser<'_> {
 
     fn parse_value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => Ok(JsonValue::String(self.parse_string()?)),
             Some(b't') => self.parse_keyword("true", JsonValue::Bool(true)),
             Some(b'f') => self.parse_keyword("false", JsonValue::Bool(false)),
@@ -258,6 +268,20 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// Runs a container parser one nesting level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error("nesting deeper than MAX_DEPTH"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_keyword(&mut self, keyword: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
@@ -341,12 +365,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // consume one UTF-8 character
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // copy the run up to the next quote or escape in one
+                    // step; both are ASCII, so the run ends on a character
+                    // boundary of the (already valid UTF-8) input
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -459,6 +485,23 @@ mod tests {
             value.get("c").and_then(|c| c.get("d")),
             Some(&JsonValue::Bool(true))
         );
+    }
+
+    #[test]
+    fn multibyte_strings_parse_between_escapes() {
+        let original = "π ≈ 3.14\n→ «ok» \"µs\"";
+        let value = JsonValue::String(original.to_string());
+        assert_eq!(parse(&value.to_pretty_string()).unwrap(), value);
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let hostile = "[".repeat(1_000_000);
+        let err = parse(&hostile).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

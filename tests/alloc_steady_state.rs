@@ -20,14 +20,19 @@
 //!    **zero** bytes on the session thread once the first windows have
 //!    warmed the staging buffers, and with a periodic defect load the
 //!    per-window allocation count settles to a constant (bounded-memory
-//!    ingestion, observable at the allocator).
+//!    ingestion, observable at the allocator);
+//! 4. the trace-corpus reader — decoding a truncated or corrupted `.mbtc`
+//!    file requests heap bytes linear in the file's length, whatever its
+//!    damaged header fields claim, so the check holds on any host.
 
 use mb_accel::{AcceleratedDual, AcceleratorConfig, MicroBlossomAccelerator, PollEvent};
 use mb_blossom::DualModule;
 use mb_decoder::{
     BackendSpec, DecodePool, DecoderBackend, MicroBlossomDecoder, WindowConfig, WindowedDecoder,
 };
+use mb_graph::circuit::CircuitLevelCode;
 use mb_graph::codes::{CodeCapacityRepetitionCode, PhenomenologicalCode};
+use mb_graph::corpus::TraceCorpus;
 use mb_graph::syndrome::ErrorSampler;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -37,29 +42,32 @@ use std::sync::Arc;
 
 thread_local! {
     static ALLOC_COUNT: Cell<u64> = const { Cell::new(0) };
+    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Counts heap acquisitions (alloc/alloc_zeroed/realloc) per thread.
+/// Counts heap acquisitions (alloc/alloc_zeroed/realloc) and the bytes they
+/// request, per thread.
 struct CountingAlloc;
 
-fn bump() {
+fn bump(bytes: usize) {
     // ignore accesses during thread teardown
     let _ = ALLOC_COUNT.try_with(|c| c.set(c.get() + 1));
+    let _ = ALLOC_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -73,6 +81,10 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
     ALLOC_COUNT.with(|c| c.get())
+}
+
+fn allocated_bytes() -> u64 {
+    ALLOC_BYTES.with(|c| c.get())
 }
 
 /// One dual-phase-only decode: an isolated defect pair that pre-matching
@@ -231,4 +243,39 @@ fn windowed_ingestion_allocations_stabilize_under_defect_load() {
         interior.iter().all(|&n| n == steady),
         "per-window allocation count must stabilize: {per_window:?}"
     );
+}
+
+#[test]
+fn damaged_corpus_decoding_allocates_linearly_in_input() {
+    // every truncation and several flips of every byte — including the
+    // high bytes of the header's layer count, which once requested tens of
+    // gigabytes up front — must cost heap bytes linear in the input length
+    const BYTES_PER_INPUT_BYTE: u64 = 64;
+    const SLACK: u64 = 4096;
+    let circuit = Arc::new(CircuitLevelCode::rotated(3, 3, 0.05).compile());
+    let bytes = mb_decoder::record_circuit_run(&circuit, 12, 3).encode();
+    let check = |input: &[u8]| {
+        let before = allocated_bytes();
+        let decoded = TraceCorpus::decode(input);
+        let spent = allocated_bytes() - before;
+        let bound = BYTES_PER_INPUT_BYTE * input.len() as u64 + SLACK;
+        assert!(
+            spent <= bound,
+            "decoding {} bytes requested {spent} heap bytes (bound {bound}); ok={}",
+            input.len(),
+            decoded.is_ok()
+        );
+    };
+    check(&bytes);
+    for len in 0..bytes.len() {
+        check(&bytes[..len]);
+    }
+    let mut damaged = bytes.clone();
+    for index in 0..bytes.len() {
+        for mask in [0x41u8, 0x80, 0xFF] {
+            damaged[index] ^= mask;
+            check(&damaged);
+            damaged[index] ^= mask;
+        }
+    }
 }
