@@ -60,6 +60,10 @@ use std::sync::Arc;
 const NO_NODE: HwNodeId = HwNodeId::MAX;
 /// Sentinel for "no touch stored" in the SoA `touch` array.
 const NO_TOUCH: u32 = u32::MAX;
+/// Weight of fusion-boundary edges while reduced (§6.3).
+const FUSION_REDUCED_WEIGHT: Weight = 0;
+/// Pipeline depth (FE, PM, EX, UP, WR in the prototype).
+const PIPELINE_STAGES: u64 = 5;
 
 /// Static configuration of an accelerator instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,20 +72,11 @@ pub struct AcceleratorConfig {
     pub prematch_enabled: bool,
     /// Apply the temporary fusion-boundary weight reduction of §6.3.
     pub fusion_weight_reduction: bool,
-    /// Weight used for fusion-boundary edges while reduced.
-    pub fusion_reduced_weight: Weight,
-    /// Pipeline depth (FE, PM, EX, UP, WR in the prototype).
-    pub pipeline_stages: u64,
     /// Debug reference mode: run every sweep over the full PU arrays (the
     /// original O(|V| + |E|)-per-instruction fold) instead of the sparse
     /// active set. Bit-identical to the sparse path; kept for differential
     /// testing (`tests/sparse_equals_dense.rs`).
     pub dense_reference: bool,
-    /// LUT pre-decoder knob (see [`crate::predecoder`]). The accelerator
-    /// itself ignores it — the owning decoder builds and consults the
-    /// table — but carrying it here ties the table to the `(graph, config)`
-    /// cache key alongside the PU arrays.
-    pub predecoder: crate::predecoder::PredecoderConfig,
 }
 
 impl Default for AcceleratorConfig {
@@ -89,10 +84,7 @@ impl Default for AcceleratorConfig {
         Self {
             prematch_enabled: true,
             fusion_weight_reduction: true,
-            fusion_reduced_weight: 0,
-            pipeline_stages: 5,
             dense_reference: false,
-            predecoder: crate::predecoder::PredecoderConfig::default(),
         }
     }
 }
@@ -332,7 +324,7 @@ fn edge_weight(
         let (u, v) = graph.edge(e).vertices;
         let unloaded = |x: VertexIndex| !vs.virt.get(x) && !fusion.loaded(vs.layer[x]);
         if unloaded(u) != unloaded(v) {
-            return config.fusion_reduced_weight;
+            return FUSION_REDUCED_WEIGHT;
         }
     }
     original[e]
@@ -811,7 +803,7 @@ impl MicroBlossomAccelerator {
             }
             Instruction::FindConflict => {
                 self.ensure_stable();
-                self.stats.cycles += self.convergecast_cycles + self.config.pipeline_stages;
+                self.stats.cycles += self.convergecast_cycles + PIPELINE_STAGES;
                 self.stats.responses += 1;
                 Some(self.convergecast())
             }

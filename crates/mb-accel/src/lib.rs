@@ -57,6 +57,6 @@ pub use accelerator::{
 };
 pub use driver::{AcceleratedDual, DualContext, IoStats, PollEvent};
 pub use instruction::{HwDirection, HwNodeId, Instruction};
-pub use predecoder::{PreDecoder, PredecoderConfig};
+pub use predecoder::PreDecoder;
 pub use resource::{estimate_resources, ResourceEstimate};
 pub use timing::TimingModel;

@@ -27,29 +27,26 @@
 //!
 //! To preserve even *degenerate* optimum selection (equal-weight matchings
 //! with different corrections), table entries are not produced by a generic
-//! matcher: they are decoded by the real accelerator + driver + primal
-//! machinery, with the caller's exact [`AcceleratorConfig`] and the same
-//! driving policy (round-wise streaming or batch) the owning decoder uses.
-//! The table entry for a cluster is therefore bit-identical to what the
-//! escalated path would produce for it.
+//! matcher: [`PreDecoder::build`] takes the decode as a parameter, and the
+//! owning decoder passes itself with its LUT off — same accelerator
+//! configuration, same driving policy. The table entry for a cluster is
+//! therefore the escalated path's output for it, by construction.
 //!
 //! # Size / memory trade-off
 //!
-//! With the default [`PredecoderConfig::max_cluster_size`] of 2 the table
+//! With clusters of at most `MAX_CLUSTER_SIZE` = 2 defects the table
 //! holds one entry per defect vertex (the boundary-matched singleton, when
 //! it is cheap enough) plus one per close defect pair — `O(|V| · k)`
 //! entries for neighbourhood size `k`, built once per `(graph, config)`
 //! alongside the PU arrays and cached with the backend in the decode pool's
-//! per-worker LRU. Raising `max_cluster_size` grows the table by a factor
-//! of roughly `k` per step and the neighbourhood radius linearly; clusters
+//! per-worker LRU. Each extra cluster member would grow the table by a
+//! factor of roughly `k` and the neighbourhood radius linearly; clusters
 //! whose anchor neighbourhood overflows the 64-bit mask simply escalate, so
-//! the knob trades memory and build time for fast-path coverage, never for
-//! correctness.
+//! the bound trades memory and build time for fast-path coverage, never
+//! for correctness.
 
-use crate::accelerator::{AcceleratorConfig, MicroBlossomAccelerator, PrematchPartner};
-use crate::driver::{AcceleratedDual, PollEvent};
-use mb_blossom::{DualModule, PerfectMatching, PrimalModule};
-use mb_graph::{DecodingGraph, SyndromePattern, VertexIndex, Weight};
+use mb_blossom::PerfectMatching;
+use mb_graph::{DecodingGraph, VertexIndex, Weight};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
@@ -58,59 +55,28 @@ use std::sync::Arc;
 const MASK_BITS: usize = 64;
 /// Per-anchor table-entry budget; anchors that would exceed it escalate.
 const MAX_ENTRIES_PER_ANCHOR: usize = 512;
-
-/// Configuration knob of the LUT pre-decoder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PredecoderConfig {
-    /// Enable the pre-decoder fast path. When disabled no table is built
-    /// and every shot takes the unconditional dual phase.
-    pub enabled: bool,
-    /// Largest defect cluster resolved from the table; bigger clusters
-    /// escalate the shot. Raising this grows the table combinatorially.
-    pub max_cluster_size: usize,
-}
-
-impl Default for PredecoderConfig {
-    fn default() -> Self {
-        Self {
-            enabled: true,
-            max_cluster_size: 2,
-        }
-    }
-}
-
-impl PredecoderConfig {
-    /// A disabled pre-decoder (the unconditional path for every shot).
-    pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            ..Self::default()
-        }
-    }
-}
+/// Largest defect cluster resolved from the table; bigger clusters escalate
+/// the shot.
+const MAX_CLUSTER_SIZE: usize = 2;
 
 /// The precomputed local match table plus the per-shot cluster classifier.
 ///
-/// Built once per `(graph, accelerator config, driving policy)` by
-/// [`PreDecoder::build`]; the owning decoder calls
-/// [`PreDecoder::resolve_into`] with the shot's sorted defect list after
-/// round ingestion and applies the returned matching directly when every
-/// cluster hits the table.
+/// Built once per `(graph, decoder config)` by [`PreDecoder::build`]; the
+/// owning decoder calls [`PreDecoder::resolve_into`] with the shot's sorted
+/// defect list after round ingestion and applies the returned matching
+/// directly when every cluster hits the table.
 #[derive(Debug, Clone)]
 pub struct PreDecoder {
     graph: Arc<DecodingGraph>,
-    config: PredecoderConfig,
-    /// Two defects at distance ≤ `link_radius` belong to one cluster (2R).
-    link_radius: Weight,
     /// Only clusters with matching weight ≤ `entry_cap` (R) are stored.
     entry_cap: Weight,
     /// Per anchor vertex: sorted candidate co-members (`u > anchor`, within
-    /// `(max_cluster_size - 1) · 2R`). Empty for virtual or overflowed
+    /// `(MAX_CLUSTER_SIZE - 1) · 2R`). Empty for virtual or overflowed
     /// anchors.
     neighborhoods: Vec<Vec<VertexIndex>>,
-    /// Per vertex: every non-virtual vertex within `link_radius`, sorted.
-    /// Precomputed so per-shot cluster classification is pure sorted-array
-    /// membership testing — no graph traversal on the hot path.
+    /// Per vertex: every non-virtual vertex within the linking radius `2R`,
+    /// sorted. Precomputed so per-shot cluster classification is pure
+    /// sorted-array membership testing — no graph traversal on the hot path.
     link_neighbors: Vec<Vec<VertexIndex>>,
     /// Anchors whose neighbourhood or entry budget overflowed; clusters
     /// anchored there always escalate.
@@ -131,29 +97,19 @@ pub struct PreDecoder {
 impl PreDecoder {
     /// Builds the neighbourhood lists and the local match table for `graph`.
     ///
-    /// `accel_config` must be the exact configuration of the accelerator
-    /// the owning decoder drives, and `stream_driving` whether that decoder
-    /// ingests rounds one by one (`true`) or loads the whole syndrome before
-    /// driving (`false`): entries are decoded by the same machinery under
-    /// the same policy so degenerate optimum selection matches the
-    /// escalated path bit for bit.
+    /// `decode` maps a sorted candidate cluster to its matching; the owning
+    /// decoder passes its own decode with the LUT off, so every entry is
+    /// what the escalated path returns for that cluster, bit for bit.
     pub fn build(
         graph: Arc<DecodingGraph>,
-        accel_config: &AcceleratorConfig,
-        stream_driving: bool,
+        mut decode: impl FnMut(&[VertexIndex]) -> PerfectMatching,
     ) -> Self {
         let n = graph.vertex_count();
-        let max_cluster = accel_config.predecoder.max_cluster_size.max(1);
         let entry_cap = graph.max_weight();
         let link_radius = 2 * entry_cap;
-        let reach = (max_cluster as Weight - 1) * link_radius;
+        let reach = (MAX_CLUSTER_SIZE as Weight - 1) * link_radius;
 
         let mut this = Self {
-            config: PredecoderConfig {
-                enabled: accel_config.predecoder.enabled,
-                max_cluster_size: max_cluster,
-            },
-            link_radius,
             entry_cap,
             neighborhoods: vec![Vec::new(); n],
             link_neighbors: vec![Vec::new(); n],
@@ -190,7 +146,7 @@ impl PreDecoder {
                 },
             );
             near.sort_unstable();
-            if near.len() > MASK_BITS || entry_count(near.len(), max_cluster - 1).is_none() {
+            if near.len() > MASK_BITS || entry_count(near.len(), MAX_CLUSTER_SIZE - 1).is_none() {
                 this.overflowed[anchor] = true;
                 continue;
             }
@@ -220,15 +176,14 @@ impl PreDecoder {
             this.link_neighbors[v] = near;
         }
 
-        // the local match table, decoded by the real machinery
-        let mut builder = EntryBuilder::new(&this.graph, accel_config, stream_driving);
+        // the local match table, decoded by the owning decoder
         let mut cluster = Vec::new();
         for anchor in 0..n {
             if this.graph.is_virtual(anchor) || this.overflowed[anchor] {
                 continue;
             }
             let near = std::mem::take(&mut this.neighborhoods[anchor]);
-            for_each_subset(near.len(), max_cluster - 1, |subset| {
+            for_each_subset(near.len(), MAX_CLUSTER_SIZE - 1, |subset| {
                 cluster.clear();
                 cluster.push(anchor);
                 let mut mask = 0u64;
@@ -239,7 +194,7 @@ impl PreDecoder {
                     }
                 }
                 cluster.sort_unstable();
-                let matching = builder.decode(&cluster);
+                let matching = decode(&cluster);
                 if matching.weight(&this.graph) <= this.entry_cap {
                     this.table.insert((anchor, mask), matching);
                 }
@@ -247,16 +202,6 @@ impl PreDecoder {
             this.neighborhoods[anchor] = near;
         }
         this
-    }
-
-    /// The configuration this table was built with.
-    pub fn config(&self) -> &PredecoderConfig {
-        &self.config
-    }
-
-    /// Distance below which two defects share a cluster (`2R`).
-    pub fn link_radius(&self) -> Weight {
-        self.link_radius
     }
 
     /// Number of `(anchor, mask)` entries in the local match table.
@@ -268,7 +213,7 @@ impl PreDecoder {
     ///
     /// `defects` must be the shot's complete defect list, sorted and
     /// deduplicated (see
-    /// [`MicroBlossomAccelerator::predecode_defects_into`]); the result is
+    /// [`crate::MicroBlossomAccelerator::predecode_defects_into`]); the result is
     /// therefore invariant to the order rounds and defects were ingested
     /// in. When every cluster is table-eligible the matched pairs and
     /// boundary matches are appended to `matching` and the call returns
@@ -293,7 +238,7 @@ impl PreDecoder {
         let mut eligible = true;
         'clusters: for c in 0..clusters {
             let (start, len) = self.cluster_bounds(c);
-            if len > self.config.max_cluster_size {
+            if len > MAX_CLUSTER_SIZE {
                 eligible = false;
                 break;
             }
@@ -498,116 +443,14 @@ fn for_each_subset(len: usize, max_bits: usize, mut f: impl FnMut(u64)) {
     recurse(len, max_bits, 0, 0, &mut f);
 }
 
-/// One reusable accelerator + driver + primal stack that decodes candidate
-/// clusters exactly the way the owning decoder would, including lazy node
-/// materialization and hardware pre-matching.
-struct EntryBuilder {
-    graph: Arc<DecodingGraph>,
-    driver: AcceleratedDual,
-    primal: PrimalModule,
-    stream_driving: bool,
-    unknown_scratch: Vec<VertexIndex>,
-}
-
-impl EntryBuilder {
-    fn new(graph: &Arc<DecodingGraph>, accel_config: &AcceleratorConfig, stream: bool) -> Self {
-        let accel = MicroBlossomAccelerator::new(Arc::clone(graph), accel_config.clone());
-        Self {
-            graph: Arc::clone(graph),
-            driver: AcceleratedDual::new(accel),
-            primal: PrimalModule::new(),
-            stream_driving: stream,
-            unknown_scratch: Vec::new(),
-        }
-    }
-
-    /// Decodes one candidate cluster with the target driving policy; this
-    /// mirrors the `MicroBlossomDecoder` solve loop instruction for
-    /// instruction so degenerate optima are selected identically.
-    fn decode(&mut self, defects: &[VertexIndex]) -> PerfectMatching {
-        self.driver.reset();
-        self.primal.clear();
-        let layers = SyndromePattern::new(defects.to_vec()).split_by_layer(&self.graph);
-        if self.stream_driving {
-            for defects in &layers {
-                self.driver.load_round(defects);
-                self.drive();
-            }
-        } else {
-            for (t, defects) in layers.iter().enumerate() {
-                self.driver.load_layer(t, defects);
-            }
-            self.drive();
-        }
-        let mut matching = self.primal.perfect_matching();
-        for &(vertex, partner) in self.driver.remaining_prematches() {
-            match partner {
-                PrematchPartner::Defect(other) => matching.pairs.push((vertex, other)),
-                PrematchPartner::Boundary(boundary) => matching.boundary.push((vertex, boundary)),
-            }
-        }
-        matching
-    }
-
-    fn drive(&mut self) {
-        if self.driver.accelerator().defect_count() == 0 {
-            return;
-        }
-        let guard = 1000 + 100 * self.graph.vertex_count() * self.graph.vertex_count();
-        let mut iterations = 0usize;
-        loop {
-            iterations += 1;
-            assert!(iterations <= guard, "pre-decoder table build diverged");
-            match self.driver.poll() {
-                PollEvent::Finished => break,
-                PollEvent::GrowLength(length) => self.driver.grow(length),
-                PollEvent::Obstacle(obstacle) => {
-                    self.primal.resolve(obstacle, &mut self.driver);
-                }
-                PollEvent::UnknownNodes(response) => {
-                    let mut unknown = std::mem::take(&mut self.unknown_scratch);
-                    unknown.clear();
-                    self.driver.unknown_vertices_into(&response, &mut unknown);
-                    for &vertex in &unknown {
-                        if self.primal.singleton_of(vertex).is_some() {
-                            continue;
-                        }
-                        match self.driver.prematch_partner_of(vertex) {
-                            Some(PrematchPartner::Defect(other)) => {
-                                self.primal
-                                    .load_prematched_pair(vertex, other, &mut self.driver);
-                            }
-                            Some(PrematchPartner::Boundary(boundary)) => {
-                                self.primal.load_prematched_boundary(
-                                    vertex,
-                                    boundary,
-                                    &mut self.driver,
-                                );
-                            }
-                            None => {
-                                self.primal.load_defect(vertex, &mut self.driver);
-                            }
-                        }
-                    }
-                    self.unknown_scratch = unknown;
-                    let obstacle = self
-                        .driver
-                        .translate(&response)
-                        .expect("all nodes were just materialized");
-                    self.primal.resolve(obstacle, &mut self.driver);
-                }
-            }
-        }
-        assert!(self.primal.is_solved(), "table build left CPU trees");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mb_blossom::exact::minimum_matching_weight;
+    use mb_blossom::SolverSerial;
     use mb_graph::codes::{CodeCapacityRotatedCode, PhenomenologicalCode};
     use mb_graph::syndrome::ErrorSampler;
+    use mb_graph::SyndromePattern;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -619,14 +462,17 @@ mod tests {
         }
     }
 
-    fn build(graph: &Arc<DecodingGraph>, stream: bool) -> PreDecoder {
-        PreDecoder::build(Arc::clone(graph), &AcceleratorConfig::default(), stream)
+    fn build(graph: &Arc<DecodingGraph>) -> PreDecoder {
+        let mut solver = SolverSerial::new(Arc::clone(graph));
+        PreDecoder::build(Arc::clone(graph), |defects| {
+            solver.solve(&SyndromePattern::new(defects.to_vec()))
+        })
     }
 
     #[test]
     fn table_entries_are_minimum_weight_matchings() {
         let graph = Arc::new(CodeCapacityRotatedCode::new(5, 0.05).decoding_graph());
-        let pre = build(&graph, false);
+        let pre = build(&graph);
         assert!(pre.table_len() > 0);
         for ((anchor, _), matching) in &pre.table {
             let defects = matching.defects();
@@ -645,7 +491,7 @@ mod tests {
     #[test]
     fn clusters_partition_the_defect_list() {
         let graph = Arc::new(PhenomenologicalCode::rotated(3, 4, 0.05).decoding_graph());
-        let mut pre = build(&graph, true);
+        let mut pre = build(&graph);
         let sampler = ErrorSampler::new(&graph);
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         for _ in 0..50 {
@@ -666,7 +512,7 @@ mod tests {
     #[test]
     fn classification_is_input_order_invariant() {
         let graph = Arc::new(PhenomenologicalCode::rotated(3, 4, 0.06).decoding_graph());
-        let mut pre = build(&graph, true);
+        let mut pre = build(&graph);
         let sampler = ErrorSampler::new(&graph);
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         for _ in 0..30 {
@@ -689,7 +535,7 @@ mod tests {
     #[test]
     fn resolved_shots_match_the_unconditional_decoder() {
         let graph = Arc::new(CodeCapacityRotatedCode::new(5, 0.03).decoding_graph());
-        let mut pre = build(&graph, false);
+        let mut pre = build(&graph);
         let sampler = ErrorSampler::new(&graph);
         let mut rng = ChaCha8Rng::seed_from_u64(21);
         let mut resolved = 0;
@@ -719,9 +565,9 @@ mod tests {
     #[test]
     fn oversized_clusters_escalate() {
         let graph = Arc::new(CodeCapacityRotatedCode::new(5, 0.05).decoding_graph());
-        let mut pre = build(&graph, false);
-        // three mutually close defects form one cluster above the default
-        // max_cluster_size of 2
+        let mut pre = build(&graph);
+        // three mutually close defects form one cluster above
+        // MAX_CLUSTER_SIZE
         let anchor = (0..graph.vertex_count())
             .find(|&v| !graph.is_virtual(v) && !pre.neighborhoods[v].is_empty())
             .expect("some anchor has neighbours");

@@ -46,12 +46,16 @@ pub trait DecoderBackend: Send {
     /// backends.
     fn deterministic_latency(&self) -> bool;
 
-    /// Whether this backend can fold measurement rounds into a running
-    /// solution as they arrive (round-wise fusion, §6). When `false`, the
-    /// streaming front-end buffers the rounds and decodes the assembled
-    /// syndrome once the shot is complete, so every backend can be driven
-    /// round by round — a `true` backend merely starts its dual-phase work
-    /// before the last round has arrived.
+    /// Whether this backend implements the round-wise session
+    /// ([`DecoderBackend::begin_rounds`], [`DecoderBackend::ingest_round`],
+    /// [`DecoderBackend::finish_rounds`]), whose outcome is bit-identical to
+    /// [`DecoderBackend::decode`] on the assembled syndrome. It says nothing
+    /// about *when* the work happens: Micro Blossom with the LUT pre-decoder
+    /// armed reports `true` yet holds every round until the last one. The
+    /// streaming front-end does not read this flag; it ingests rounds on
+    /// arrival only for backends that
+    /// [`DecoderBackend::supports_context_switching`], and buffers every
+    /// other backend's rounds for one [`DecoderBackend::decode`] call.
     fn supports_round_ingestion(&self) -> bool {
         false
     }
@@ -84,10 +88,10 @@ pub trait DecoderBackend: Send {
     /// hardware's `contextBits`-selected `Mem[VertexPersistent]` memory.
     /// True only when [`DecoderBackend::supports_round_ingestion`] holds
     /// *and* [`DecoderBackend::ingest_round`] drives each round into the
-    /// running solution on arrival (a backend that merely logs rounds until
-    /// the last one gains nothing from early ingestion). When `true`, the
-    /// streaming scheduler interleaves many partially ingested shots on one
-    /// backend instance via
+    /// running solution on arrival (a backend that merely buffers rounds
+    /// until the last one gains nothing from early ingestion). When `true`,
+    /// the streaming scheduler interleaves many partially ingested shots on
+    /// one backend instance via
     /// [`DecoderBackend::context_save`]/[`DecoderBackend::context_restore`];
     /// when `false`, it buffers each context's rounds and decodes the
     /// assembled shot with one [`DecoderBackend::decode`] call.

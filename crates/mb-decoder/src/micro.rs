@@ -15,7 +15,7 @@ use crate::backend::{AccelObservability, DecoderBackend};
 use crate::outcome::{DecodeOutcome, LatencyBreakdown};
 use mb_accel::{
     AcceleratedDual, AcceleratorConfig, DualContext, MicroBlossomAccelerator, PollEvent,
-    PreDecoder, PredecoderConfig, PrematchPartner, TimingModel,
+    PreDecoder, PrematchPartner, TimingModel,
 };
 use mb_blossom::{PerfectMatching, PrimalModule};
 use mb_graph::{DecodingGraph, SyndromePattern, VertexIndex};
@@ -40,10 +40,12 @@ pub struct MicroBlossomConfig {
     pub dense_reference: bool,
     /// LUT pre-decoder fast path (see [`mb_accel::predecoder`]): resolve
     /// isolated defect clusters from a precomputed local match table and
-    /// escalate only hard shots to the dual phase. Ignored (treated as
-    /// disabled) when `materialize_all_defects` is set, since eagerly
-    /// materialized defects cannot bypass the primal module.
-    pub predecoder: PredecoderConfig,
+    /// escalate only hard shots to the dual phase. The table is built by a
+    /// copy of this decoder with the LUT off, so every entry is what the
+    /// escalated path returns. Ignored (treated as disabled) when
+    /// `materialize_all_defects` is set, since eagerly materialized defects
+    /// cannot bypass the primal module.
+    pub predecoder: bool,
     /// Hardware timing model used to convert counters into latency.
     pub timing: TimingModel,
 }
@@ -57,7 +59,7 @@ impl MicroBlossomConfig {
             fusion_weight_reduction: true,
             materialize_all_defects: false,
             dense_reference: false,
-            predecoder: PredecoderConfig::default(),
+            predecoder: true,
             timing: TimingModel::for_graph(graph, code_distance),
         }
     }
@@ -70,7 +72,7 @@ impl MicroBlossomConfig {
             fusion_weight_reduction: false,
             materialize_all_defects: true,
             dense_reference: false,
-            predecoder: PredecoderConfig::disabled(),
+            predecoder: false,
             timing: TimingModel::for_graph(graph, code_distance),
         }
     }
@@ -83,7 +85,7 @@ impl MicroBlossomConfig {
             fusion_weight_reduction: false,
             materialize_all_defects: false,
             dense_reference: false,
-            predecoder: PredecoderConfig::disabled(),
+            predecoder: false,
             timing: TimingModel::for_graph(graph, code_distance),
         }
     }
@@ -99,7 +101,7 @@ impl MicroBlossomConfig {
     /// shot takes the unconditional dual phase (the ablation baseline for
     /// the fast-path differential tests and benches).
     pub fn without_predecoder(mut self) -> Self {
-        self.predecoder = PredecoderConfig::disabled();
+        self.predecoder = false;
         self
     }
 }
@@ -108,8 +110,7 @@ impl MicroBlossomConfig {
 /// [`DualContext`] plus the decoder-level CPU primal trees. A bank is
 /// everything [`DecoderBackend::context_restore`] needs to continue the shot
 /// bit-identically to one that never left the engine. Only decoders without
-/// an armed LUT pre-decoder bank contexts, so no escalation flag or replay
-/// log is ever in flight.
+/// an armed LUT pre-decoder bank contexts.
 #[derive(Debug, Clone)]
 struct MicroContextBank {
     dual: DualContext,
@@ -123,21 +124,15 @@ pub struct MicroBlossomDecoder {
     config: MicroBlossomConfig,
     driver: AcceleratedDual,
     primal: PrimalModule,
-    /// Reusable per-decode buffer for the layer-split syndrome.
+    /// Reusable per-decode buffer for the layer-split syndrome. With the
+    /// LUT armed it is the shot's only copy of its rounds: an escalated
+    /// shot replays from it.
     layers_scratch: Vec<Vec<VertexIndex>>,
     /// Reusable per-conflict buffer for not-yet-materialized defects.
     unknown_scratch: Vec<VertexIndex>,
     /// LUT pre-decoder (table + classifier), `Some` when the configuration
     /// enables it and lazy node materialization is in effect.
     predecoder: Option<PreDecoder>,
-    /// Whether the current shot already escalated past the pre-decoder.
-    escalated: bool,
-    /// Ingested rounds of the current (deferred) stream shot, so an
-    /// escalated shot can be replayed exactly as the unconditional path
-    /// would have driven it. Outer capacity is retained across shots.
-    round_log: Vec<Vec<VertexIndex>>,
-    /// Number of `round_log` entries valid for the current shot.
-    rounds_logged: usize,
     /// Reusable buffer for the sorted, deduplicated shot defect list.
     predecode_scratch: Vec<VertexIndex>,
     /// Shots (cumulative over this decoder's lifetime) whose syndrome was
@@ -170,13 +165,18 @@ impl MicroBlossomDecoder {
             prematch_enabled: config.prematch_enabled,
             fusion_weight_reduction: config.fusion_weight_reduction && config.stream_decoding,
             dense_reference: config.dense_reference,
-            predecoder: config.predecoder,
-            ..AcceleratorConfig::default()
         };
         // eager materialization routes every defect through the primal
         // module, which the table path bypasses — treat it as disabled
-        let predecoder = (config.predecoder.enabled && !config.materialize_all_defects)
-            .then(|| PreDecoder::build(Arc::clone(&graph), &accel_config, config.stream_decoding));
+        let predecoder = (config.predecoder && !config.materialize_all_defects).then(|| {
+            // each entry is this decoder's own output with the LUT off
+            let mut unarmed = Self::new(Arc::clone(&graph), config.clone().without_predecoder());
+            PreDecoder::build(Arc::clone(&graph), |defects| {
+                unarmed
+                    .decode_matching(&SyndromePattern::new(defects.to_vec()))
+                    .0
+            })
+        });
         let accel = MicroBlossomAccelerator::new(Arc::clone(&graph), accel_config);
         Self {
             driver: AcceleratedDual::new(accel),
@@ -186,9 +186,6 @@ impl MicroBlossomDecoder {
             layers_scratch: Vec::new(),
             unknown_scratch: Vec::new(),
             predecoder,
-            escalated: false,
-            round_log: Vec::new(),
-            rounds_logged: 0,
             predecode_scratch: Vec::new(),
             zero_defect_shots: 0,
             predecoded_shots: 0,
@@ -245,12 +242,8 @@ impl MicroBlossomDecoder {
         // reuse the layer buffer across decodes (no steady-state allocation)
         let mut layers = std::mem::take(&mut self.layers_scratch);
         syndrome.split_by_layer_into(&self.graph, &mut layers);
-        let last_layer = layers.len() - 1;
         let result = if self.config.stream_decoding {
-            for (t, defects) in layers[..last_layer].iter().enumerate() {
-                self.ingest_one_round(t, defects);
-            }
-            self.finish_session(last_layer, &layers[last_layer])
+            self.decode_rounds(&layers, 0)
         } else {
             for (t, defects) in layers.iter().enumerate() {
                 self.driver.load_layer(t, defects);
@@ -258,31 +251,60 @@ impl MicroBlossomDecoder {
             self.materialize_if_configured(&syndrome.defects);
             // measured window starts here, after the syndrome transfer —
             // exactly where the unconditional batch path starts it
-            if let Some(matching) = self.try_predecode() {
-                let snapshot = self.counters();
-                (matching, self.breakdown_since(snapshot))
-            } else {
-                let snapshot = self.counters();
-                if self.drive_dual_phase() {
-                    self.zero_defect_shots += 1;
-                }
-                self.complete_matching(snapshot)
+            let snapshot = self.counters();
+            match self.try_predecode() {
+                Some(matching) => (matching, self.breakdown_since(snapshot)),
+                None => self.drive_and_complete(snapshot),
             }
         };
         self.layers_scratch = layers;
         result
     }
 
+    /// A stream decode of one whole shot, `rounds` in layer order, of which
+    /// the first `loaded` are already in the accelerator undriven (the
+    /// armed round-wise session loads rounds on arrival).
+    ///
+    /// With the LUT pre-decoder armed every round is first loaded without
+    /// driving, so the classification sees the complete defect set and a
+    /// fast-path shot never polls the hardware. A table miss restarts the
+    /// shot and drives the same rounds on arrival, exactly as the unarmed
+    /// decoder does, so escalated shots are bit-identical — matching, dual
+    /// objective *and* latency breakdown — to the pre-decoder-off path. (The
+    /// driver's bus counters restart with the reset; accelerator cycle
+    /// counters are lifetime-cumulative but the breakdown is a delta.)
+    fn decode_rounds(
+        &mut self,
+        rounds: &[Vec<VertexIndex>],
+        loaded: usize,
+    ) -> (PerfectMatching, LatencyBreakdown) {
+        if self.predecoder.is_some() {
+            for (t, defects) in rounds.iter().enumerate().skip(loaded) {
+                let layer = self.driver.load_round(defects);
+                assert_eq!(layer, t, "rounds must be ingested in layer order");
+            }
+            let mut snapshot = self.counters();
+            // re-charge the final load instruction, as `finish_session` does
+            snapshot.bus_writes -= 1;
+            if let Some(matching) = self.try_predecode() {
+                return (matching, self.breakdown_since(snapshot));
+            }
+            if self.driver.accelerator().defect_count() == 0 {
+                return self.drive_and_complete(snapshot);
+            }
+            DecoderBackend::reset(self);
+        }
+        let last = rounds.len() - 1;
+        for (t, defects) in rounds[..last].iter().enumerate() {
+            self.ingest_one_round(t, defects);
+        }
+        self.finish_session(last, &rounds[last])
+    }
+
     /// One non-final round of a stream decode: load the round, fold it into
     /// the running solution (§6 fusion). The driver tracks the round index
     /// itself ([`AcceleratedDual::load_round`]); `layer` only asserts the
     /// caller is feeding rounds in layer order.
-    ///
-    /// While the LUT pre-decoder is armed, driving is deferred: the round
-    /// is loaded into the accelerator (so the final-round classification
-    /// sees the complete defect set) and logged, but the dual phase does
-    /// not start — a fast-path shot never polls the hardware, and an
-    /// escalated shot replays the log through the unconditional path.
     fn ingest_one_round(&mut self, layer: usize, defects: &[VertexIndex]) {
         let loaded = self.driver.load_round(defects);
         assert_eq!(loaded, layer, "rounds must be ingested in layer order");
@@ -292,10 +314,6 @@ impl MicroBlossomDecoder {
             return;
         }
         self.materialize_if_configured(defects);
-        if self.predecoder_armed() {
-            self.log_round(defects);
-            return;
-        }
         self.drive_dual_phase();
     }
 
@@ -316,45 +334,21 @@ impl MicroBlossomDecoder {
             return (PerfectMatching::new(), self.breakdown_since(snapshot));
         }
         self.materialize_if_configured(defects);
-        if self.predecoder_armed() {
-            self.log_round(defects);
-            if self.driver.accelerator().defect_count() > 0 {
-                if let Some(matching) = self.try_predecode() {
-                    let mut snapshot = self.counters();
-                    // re-charge the final load instruction, as below
-                    snapshot.bus_writes -= 1;
-                    return (matching, self.breakdown_since(snapshot));
-                }
-                self.escalated = true;
-                return self.replay_logged_rounds();
-            }
-            // zero-defect shot: the deferred per-round drives would have
-            // been no-ops, so falling through is the unchanged fast path
-        }
         let mut snapshot = self.counters();
         // re-charge the final load instruction to the measured window
         snapshot.bus_writes -= 1;
-        if self.drive_dual_phase() {
-            self.zero_defect_shots += 1;
-        }
-        self.complete_matching(snapshot)
+        self.drive_and_complete(snapshot)
     }
 
-    /// Whether rounds of the current shot are being deferred for the LUT
-    /// pre-decoder (configured, and the shot has not escalated).
-    fn predecoder_armed(&self) -> bool {
-        self.predecoder.is_some() && !self.escalated
-    }
-
-    /// Appends one round to the shot's replay log, reusing inner buffers.
-    fn log_round(&mut self, defects: &[VertexIndex]) {
-        if self.rounds_logged == self.round_log.len() {
-            self.round_log.push(Vec::new());
+    /// Copies round `layer` of an armed round-wise session into the layer
+    /// buffer, whose inner buffers are reused across shots.
+    fn buffer_round(&mut self, layer: usize, defects: &[VertexIndex]) {
+        if layer == self.layers_scratch.len() {
+            self.layers_scratch.push(Vec::new());
         }
-        let slot = &mut self.round_log[self.rounds_logged];
-        slot.clear();
-        slot.extend_from_slice(defects);
-        self.rounds_logged += 1;
+        let round = &mut self.layers_scratch[layer];
+        round.clear();
+        round.extend_from_slice(defects);
     }
 
     /// Attempts the LUT fast path on the fully loaded shot: classifies the
@@ -382,36 +376,6 @@ impl MicroBlossomDecoder {
         Some(matching)
     }
 
-    /// Escalation of a deferred stream shot: resets the dual state and
-    /// re-drives every logged round exactly as the unconditional
-    /// configuration would have on arrival, so escalated shots are
-    /// bit-identical — matching, dual objective *and* latency breakdown —
-    /// to the pre-decoder-off path. The driver's bus counters restart from
-    /// the reset (accelerator cycle counters are lifetime-cumulative but
-    /// the breakdown is a delta, so the measured window matches too).
-    fn replay_logged_rounds(&mut self) -> (PerfectMatching, LatencyBreakdown) {
-        use mb_blossom::DualModule;
-        self.driver.reset();
-        self.primal.clear();
-        let rounds = std::mem::take(&mut self.round_log);
-        let last = self.rounds_logged - 1;
-        for defects in &rounds[..last] {
-            self.driver.load_round(defects);
-            self.materialize_if_configured(defects);
-            self.drive_dual_phase();
-        }
-        self.driver.load_round(&rounds[last]);
-        self.materialize_if_configured(&rounds[last]);
-        let mut snapshot = self.counters();
-        snapshot.bus_writes -= 1;
-        if self.drive_dual_phase() {
-            self.zero_defect_shots += 1;
-        }
-        let result = self.complete_matching(snapshot);
-        self.round_log = rounds;
-        result
-    }
-
     /// Runs the dual phase unless the shot is (so far) defect-free, in which
     /// case it is skipped entirely — the identity correction needs no
     /// accelerator polling. Returns `true` when the fast path was taken.
@@ -423,6 +387,18 @@ impl MicroBlossomDecoder {
         }
         self.run_to_completion();
         false
+    }
+
+    /// Drives the dual phase of the fully loaded shot and completes its
+    /// matching, counting a defect-free shot on the zero-defect fast path.
+    fn drive_and_complete(
+        &mut self,
+        snapshot: LatencyBreakdown,
+    ) -> (PerfectMatching, LatencyBreakdown) {
+        if self.drive_dual_phase() {
+            self.zero_defect_shots += 1;
+        }
+        self.complete_matching(snapshot)
     }
 
     /// Completes the perfect matching with the hardware-only pre-matched
@@ -604,8 +580,6 @@ impl DecoderBackend for MicroBlossomDecoder {
         use mb_blossom::DualModule;
         self.driver.reset();
         self.primal.clear();
-        self.escalated = false;
-        self.rounds_logged = 0;
         // `abort_at` deliberately survives: the scheduler arms the deadline
         // immediately before `decode`, whose implicit reset runs afterwards
         self.aborted = false;
@@ -631,13 +605,29 @@ impl DecoderBackend for MicroBlossomDecoder {
         self.config.stream_decoding
     }
 
+    /// With the LUT armed the round is loaded undriven and held in the
+    /// layer buffer; the shot decodes whole at
+    /// [`DecoderBackend::finish_rounds`].
     fn ingest_round(&mut self, layer: usize, defects: &[VertexIndex]) {
-        self.ingest_one_round(layer, defects);
+        if self.predecoder.is_none() {
+            return self.ingest_one_round(layer, defects);
+        }
+        let loaded = self.driver.load_round(defects);
+        assert_eq!(loaded, layer, "rounds must be ingested in layer order");
+        self.buffer_round(layer, defects);
     }
 
     fn finish_rounds(&mut self, layer: usize, defects: &[VertexIndex]) -> DecodeOutcome {
         self.accel_shots += 1;
-        let (matching, breakdown) = self.finish_session(layer, defects);
+        let (matching, breakdown) = if self.predecoder.is_some() {
+            self.buffer_round(layer, defects);
+            let rounds = std::mem::take(&mut self.layers_scratch);
+            let result = self.decode_rounds(&rounds[..=layer], layer);
+            self.layers_scratch = rounds;
+            result
+        } else {
+            self.finish_session(layer, defects)
+        };
         self.outcome_from(matching, breakdown)
     }
 
@@ -645,8 +635,8 @@ impl DecoderBackend for MicroBlossomDecoder {
     /// round-wise state per context: the accelerator's authoritative defect
     /// rows (O(active) to switch, thanks to the sparse active set), the
     /// driver's CPU node table, and the decoder-level primal trees. An armed
-    /// decoder only loads and logs rounds until the last one, so its shots
-    /// decode whole at finish instead.
+    /// decoder only buffers rounds until the last one, so its shots decode
+    /// whole at finish instead.
     fn supports_context_switching(&self) -> bool {
         self.config.stream_decoding && self.predecoder.is_none()
     }

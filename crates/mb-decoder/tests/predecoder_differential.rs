@@ -42,7 +42,8 @@ fn canonical(matching: &PerfectMatching) -> CanonicalMatching {
 }
 
 /// The three noise models of the acceptance criteria, as named decoding
-/// graphs with a sampled syndrome workload each.
+/// graphs with a sampled syndrome workload each, plus one exhaustive
+/// workload covering every syndrome the LUT can resolve on a small graph.
 fn noise_models() -> Vec<(&'static str, Arc<DecodingGraph>, Vec<SyndromePattern>)> {
     let mut models = Vec::new();
 
@@ -57,6 +58,23 @@ fn noise_models() -> Vec<(&'static str, Arc<DecodingGraph>, Vec<SyndromePattern>
     let mut rng = ChaCha8Rng::seed_from_u64(102);
     let shots = (0..60).map(|_| sampler.sample(&mut rng).syndrome).collect();
     models.push(("phenomenological", graph, shots));
+
+    // the table's whole domain: every 1- and 2-defect syndrome of a small
+    // graph, so every entry is checked against the escalated path
+    let graph = Arc::new(PhenomenologicalCode::rotated(3, 3, 0.03).decoding_graph());
+    let real: Vec<VertexIndex> = (0..graph.vertex_count())
+        .filter(|&v| !graph.is_virtual(v))
+        .collect();
+    let mut shots = Vec::new();
+    for (i, &a) in real.iter().enumerate() {
+        shots.push(SyndromePattern::new(vec![a]));
+        shots.extend(
+            real[i + 1..]
+                .iter()
+                .map(|&b| SyndromePattern::new(vec![a, b])),
+        );
+    }
+    models.push(("phenomenological-exhaustive", graph, shots));
 
     let circuit = Arc::new(CircuitLevelCode::rotated(3, 3, 0.01).compile());
     let graph = Arc::clone(circuit.graph());

@@ -10,9 +10,11 @@
 //! the batch path.
 
 use mb_accel::{AcceleratedDual, AcceleratorConfig, MicroBlossomAccelerator, PreDecoder};
-use mb_decoder::{BackendSpec, DecoderBackend, MicroBlossomDecoder, StreamDecoder};
+use mb_decoder::{
+    BackendSpec, DecoderBackend, MicroBlossomConfig, MicroBlossomDecoder, StreamDecoder,
+};
 use mb_graph::codes::PhenomenologicalCode;
-use mb_graph::syndrome::{ErrorSampler, Shot};
+use mb_graph::syndrome::{ErrorSampler, Shot, SyndromePattern};
 use mb_graph::{DecodingGraph, VertexIndex};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -38,7 +40,15 @@ fn workload() -> (Arc<DecodingGraph>, Vec<Shot>) {
 fn batch_and_shuffled_round_ingestion_classify_identically() {
     let (graph, shots) = workload();
     let config = AcceleratorConfig::default();
-    let mut predecoder = PreDecoder::build(Arc::clone(&graph), &config, true);
+    let mut unarmed = MicroBlossomDecoder::new(
+        Arc::clone(&graph),
+        MicroBlossomConfig::full(&graph, Some(3)).without_predecoder(),
+    );
+    let mut predecoder = PreDecoder::build(Arc::clone(&graph), |defects| {
+        unarmed
+            .decode_matching(&SyndromePattern::new(defects.to_vec()))
+            .0
+    });
     let mut rng = ChaCha8Rng::seed_from_u64(78);
     let mut batch_defects = Vec::new();
     let mut stream_defects = Vec::new();
