@@ -21,8 +21,7 @@
 //! Defaults: 400 shots, p = 0.02, d = 3,5,7.
 
 use bench::{render_table, BenchReport};
-use mb_decoder::evaluation::{evaluate_circuit, evaluate_decoder};
-use mb_decoder::{BackendSpec, DecoderBackend, MicroBlossomDecoder};
+use mb_decoder::{BackendSpec, DecoderBackend, MicroBlossomDecoder, ShardedPipeline};
 use mb_graph::circuit::CircuitLevelCode;
 use mb_graph::codes::PhenomenologicalCode;
 use mb_graph::syndrome::Shot;
@@ -88,8 +87,9 @@ fn main() {
         let circuit = Arc::new(CircuitLevelCode::rotated(d, d, point_p).compile());
         let pheno = Arc::new(PhenomenologicalCode::rotated(d, d, point_p).decoding_graph());
         let spec = BackendSpec::micro_full(Some(d));
-        let circuit_eval = evaluate_circuit(&spec, &circuit, shots, 0xC1AC);
-        let pheno_eval = evaluate_decoder(&spec, &pheno, shots, 0xC1AC);
+        let circuit_eval = ShardedPipeline::new(spec.clone(), Arc::clone(circuit.graph()))
+            .evaluate_circuit(&circuit, shots, 0xC1AC);
+        let pheno_eval = ShardedPipeline::new(spec, pheno).evaluate(shots, 0xC1AC);
         report.line(format!(
             "{{\"bench\":\"circuit_sweep\",\"section\":\"logical_error\",\"d\":{d},\
              \"p\":{point_p:.3e},\"shots\":{shots},\

@@ -2,6 +2,10 @@
 //! and the Amdahl's-law potential speedup of accelerating the dual phase.
 //!
 //! Usage: `cargo run -r -p bench --bin fig02_amdahl [shots]`
+//!
+//! Asserts the figure's claim: the dual phase takes the majority of the
+//! decoding time at every distance. The split is wall-clock, so run it in
+//! release mode.
 
 use bench::{fig02_amdahl, render_table};
 
@@ -31,4 +35,12 @@ fn main() {
             &table
         )
     );
+    for row in &rows {
+        assert!(
+            row.dual_fraction > 0.5,
+            "d={}: dual phase is {:.1}% of the decoding time, not the majority",
+            row.d,
+            100.0 * row.dual_fraction
+        );
+    }
 }

@@ -2,7 +2,7 @@
 
 use mb_accel::{estimate_resources, ResourceEstimate};
 use mb_decoder::{
-    evaluate_decoder, phase_profile, BackendSpec, EvaluationResult, MicroBlossomConfig,
+    phase_profile, BackendSpec, EvaluationResult, MicroBlossomConfig, ShardedPipeline,
 };
 use mb_graph::codes::PhenomenologicalCode;
 use mb_graph::DecodingGraph;
@@ -67,13 +67,11 @@ pub fn fig09_average_latency(d_list: &[usize], p_list: &[f64], shots: usize) -> 
     for &d in d_list {
         for &p in p_list {
             let graph = evaluation_graph(d, p);
-            let parity_eval = evaluate_decoder(&BackendSpec::Parity, &graph, shots, 0x000F_1609);
-            let micro_eval = evaluate_decoder(
-                &BackendSpec::micro_full(Some(d)),
-                &graph,
-                shots,
-                0x000F_1609,
-            );
+            let parity_eval = ShardedPipeline::new(BackendSpec::Parity, Arc::clone(&graph))
+                .evaluate(shots, 0x000F_1609);
+            let micro_eval =
+                ShardedPipeline::new(BackendSpec::micro_full(Some(d)), Arc::clone(&graph))
+                    .evaluate(shots, 0x000F_1609);
             rows.push(LatencyPoint {
                 d,
                 p,
@@ -123,18 +121,13 @@ fn distribution_of(result: &EvaluationResult) -> LatencyDistribution {
 pub fn fig09_distribution(d: usize, p: f64, shots: usize) -> Vec<LatencyDistribution> {
     let graph = evaluation_graph(d, p);
     vec![
-        distribution_of(&evaluate_decoder(
-            &BackendSpec::Parity,
-            &graph,
-            shots,
-            0x0D15,
-        )),
-        distribution_of(&evaluate_decoder(
-            &BackendSpec::micro_full(Some(d)),
-            &graph,
-            shots,
-            0x0D15,
-        )),
+        distribution_of(
+            &ShardedPipeline::new(BackendSpec::Parity, Arc::clone(&graph)).evaluate(shots, 0x0D15),
+        ),
+        distribution_of(
+            &ShardedPipeline::new(BackendSpec::micro_full(Some(d)), Arc::clone(&graph))
+                .evaluate(shots, 0x0D15),
+        ),
     ]
 }
 
@@ -166,11 +159,12 @@ pub fn fig10a_ablation(d_list: &[usize], p: f64, shots: usize) -> Vec<AblationRo
             ];
             let mut latencies = [0.0f64; 3];
             for (i, config) in configs.into_iter().enumerate() {
-                let eval =
-                    evaluate_decoder(&BackendSpec::Micro(config), &graph, shots, 0x000F_1610);
+                let eval = ShardedPipeline::new(BackendSpec::Micro(config), Arc::clone(&graph))
+                    .evaluate(shots, 0x000F_1610);
                 latencies[i] = eval.mean_latency_ns() / 1000.0;
             }
-            let parity_eval = evaluate_decoder(&BackendSpec::Parity, &graph, shots, 0x000F_1610);
+            let parity_eval = ShardedPipeline::new(BackendSpec::Parity, Arc::clone(&graph))
+                .evaluate(shots, 0x000F_1610);
             AblationRow {
                 d,
                 parity_us: parity_eval.mean_latency_ns() / 1000.0,
@@ -204,8 +198,10 @@ pub fn fig10b_stream(d: usize, p: f64, rounds_list: &[usize], shots: usize) -> V
             let batch_spec =
                 BackendSpec::Micro(MicroBlossomConfig::with_parallel_primal(&graph, Some(d)));
             let stream_spec = BackendSpec::Micro(MicroBlossomConfig::full(&graph, Some(d)));
-            let batch_eval = evaluate_decoder(&batch_spec, &graph, shots, 0x000F_160B);
-            let stream_eval = evaluate_decoder(&stream_spec, &graph, shots, 0x000F_160B);
+            let batch_eval =
+                ShardedPipeline::new(batch_spec, Arc::clone(&graph)).evaluate(shots, 0x000F_160B);
+            let stream_eval =
+                ShardedPipeline::new(stream_spec, Arc::clone(&graph)).evaluate(shots, 0x000F_160B);
             StreamPoint {
                 rounds,
                 batch_us: batch_eval.mean_latency_ns() / 1000.0,
@@ -247,15 +243,13 @@ pub fn fig11_effective_error(
     for &d in d_list {
         for &p in p_list {
             let graph = evaluation_graph(d, p);
-            let parity_eval = evaluate_decoder(&BackendSpec::Parity, &graph, shots, 0x000F_1611);
-            let micro_eval = evaluate_decoder(
-                &BackendSpec::micro_full(Some(d)),
-                &graph,
-                shots,
-                0x000F_1611,
-            );
-            let helios_eval =
-                evaluate_decoder(&BackendSpec::union_find(), &graph, shots, 0x000F_1611);
+            let parity_eval = ShardedPipeline::new(BackendSpec::Parity, Arc::clone(&graph))
+                .evaluate(shots, 0x000F_1611);
+            let micro_eval =
+                ShardedPipeline::new(BackendSpec::micro_full(Some(d)), Arc::clone(&graph))
+                    .evaluate(shots, 0x000F_1611);
+            let helios_eval = ShardedPipeline::new(BackendSpec::union_find(), Arc::clone(&graph))
+                .evaluate(shots, 0x000F_1611);
             let rounds = |ns: f64| ns / MEASUREMENT_CYCLE_NS / d as f64;
             let p_mwpm = parity_eval.logical_error_rate();
             let helios_ratio = if p_mwpm > 0.0 && helios_eval.logical_error_rate() > 0.0 {

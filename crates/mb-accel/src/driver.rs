@@ -136,11 +136,6 @@ impl AcceleratedDual {
         &self.accel
     }
 
-    /// Mutable access to the accelerator (syndrome staging by the solver).
-    pub fn accelerator_mut(&mut self) -> &mut MicroBlossomAccelerator {
-        &mut self.accel
-    }
-
     /// Sorted, deduplicated defect list of the loaded shot — the LUT
     /// pre-decoder's canonical input; forwards to
     /// [`MicroBlossomAccelerator::predecode_defects_into`].
@@ -224,11 +219,6 @@ impl AcceleratedDual {
         self.next_blossom_hw = ctx.next_blossom_hw;
         self.rounds_loaded = ctx.rounds_loaded;
         self.io = ctx.io.clone();
-    }
-
-    /// Whether the primal module already knows about this hardware node.
-    pub fn knows_hw_node(&self, hw: HwNodeId) -> bool {
-        self.node_of_hw.contains_key(&hw)
     }
 
     /// The primal node of a hardware node id.

@@ -134,11 +134,6 @@ impl PrimalModule {
         self.stats = SolveStats::default();
     }
 
-    /// Number of nodes (defects + blossoms) ever created.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Whether every node is matched (no alternating tree remains).
     pub fn is_solved(&self) -> bool {
         self.live_trees == 0

@@ -46,25 +46,12 @@ pub trait DecoderBackend: Send {
     /// backends.
     fn deterministic_latency(&self) -> bool;
 
-    /// Whether this backend implements the round-wise session
-    /// ([`DecoderBackend::begin_rounds`], [`DecoderBackend::ingest_round`],
-    /// [`DecoderBackend::finish_rounds`]), whose outcome is bit-identical to
-    /// [`DecoderBackend::decode`] on the assembled syndrome. It says nothing
-    /// about *when* the work happens: Micro Blossom with the LUT pre-decoder
-    /// armed reports `true` yet holds every round until the last one. The
-    /// streaming front-end does not read this flag; it ingests rounds on
-    /// arrival only for backends that
-    /// [`DecoderBackend::supports_context_switching`], and buffers every
-    /// other backend's rounds for one [`DecoderBackend::decode`] call.
-    fn supports_round_ingestion(&self) -> bool {
-        false
-    }
-
     /// Begins a round-wise decode: clears per-shot state so the subsequent
     /// [`DecoderBackend::ingest_round`] calls start from a fresh solution.
-    ///
-    /// Only meaningful when [`DecoderBackend::supports_round_ingestion`]
-    /// returns `true`.
+    /// The round-wise session ([`DecoderBackend::ingest_round`],
+    /// [`DecoderBackend::finish_rounds`]) is bit-identical to
+    /// [`DecoderBackend::decode`] on the assembled syndrome; backends
+    /// without it panic on those two calls.
     fn begin_rounds(&mut self) {
         self.reset();
     }
@@ -86,12 +73,11 @@ pub trait DecoderBackend: Send {
     /// Whether this backend can bank its in-flight round-wise state per
     /// context and switch between banks — the software analog of the
     /// hardware's `contextBits`-selected `Mem[VertexPersistent]` memory.
-    /// True only when [`DecoderBackend::supports_round_ingestion`] holds
-    /// *and* [`DecoderBackend::ingest_round`] drives each round into the
-    /// running solution on arrival (a backend that merely buffers rounds
-    /// until the last one gains nothing from early ingestion). When `true`,
-    /// the streaming scheduler interleaves many partially ingested shots on
-    /// one backend instance via
+    /// True only when [`DecoderBackend::ingest_round`] drives each round
+    /// into the running solution on arrival (a backend that merely buffers
+    /// rounds until the last one gains nothing from early ingestion). This
+    /// is the one flag the streaming front-end keys on: when `true`, it
+    /// interleaves many partially ingested shots on one backend instance via
     /// [`DecoderBackend::context_save`]/[`DecoderBackend::context_restore`];
     /// when `false`, it buffers each context's rounds and decodes the
     /// assembled shot with one [`DecoderBackend::decode`] call.
@@ -113,10 +99,6 @@ pub trait DecoderBackend: Send {
     fn context_restore(&mut self, _slot: usize) {
         panic!("{} does not support context switching", self.name());
     }
-
-    /// Discards the state banked under `slot` (the shot was abandoned),
-    /// freeing the bank for reuse by another context.
-    fn context_discard(&mut self, _slot: usize) {}
 
     /// Arms (or clears, with `None`) a decode deadline. A backend that
     /// honors deadlines checks the wall clock at a coarse cadence inside its
@@ -152,14 +134,12 @@ pub trait DecoderBackend: Send {
 /// Activity counters of an accelerator-backed backend, cumulative since the
 /// backend was built (monotone, so per-job deltas are meaningful).
 ///
-/// Windowed-decoding counters (`windows_decoded`, `seam_redecodes`,
-/// `max_resident_rounds`) are *not* part of this struct: windows are a
+/// Windowed-decoding counters are *not* part of this struct: windows are a
 /// front-end concept the backend never sees (each window decode looks like
 /// an ordinary shot on a sub-graph). They live at the level that observes
 /// them — [`crate::DecodePool::windows_decoded`] /
 /// [`crate::DecodePool::seam_redecodes`] on the pool, and
-/// [`crate::StreamStats`] for sessions opened through
-/// [`crate::StreamDecoder::begin_windowed_shot`].
+/// [`crate::WindowOutcome`] per windowed shot.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AccelObservability {
     /// Peak active-set size (most vertex PUs awake at once).

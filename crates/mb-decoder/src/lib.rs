@@ -21,11 +21,12 @@
 //!   ([`StreamDecoder`]): producers submit shots (or measurement rounds)
 //!   into a bounded queue with backpressure and receive outcomes through
 //!   per-shot tickets, bit-identical to batch decoding;
-//! * [`evaluation`] — Monte-Carlo harness producing logical error rates,
-//!   latency distributions, cutoff latencies and effective logical error
-//!   rates (§8.2–§8.3), running on top of the pipeline; circuit-level
-//!   workloads run through [`evaluation::evaluate_circuit`], which samples
-//!   fault *mechanisms* instead of merged edges;
+//! * [`evaluation`] — Monte-Carlo statistics (logical error rates, latency
+//!   distributions, cutoff latencies and effective logical error rates,
+//!   §8.2–§8.3) of the batches [`ShardedPipeline::evaluate`] decodes;
+//!   circuit-level workloads run through
+//!   [`ShardedPipeline::evaluate_circuit`], which samples fault *mechanisms*
+//!   instead of merged edges;
 //! * [`replay`] — record-once / replay-everywhere: hooks the circuit
 //!   sampler into the `.mbtc` trace-corpus format and replays a corpus
 //!   deterministically through batch, stream, and windowed ingestion;
@@ -84,10 +85,7 @@ pub use backend::{AccelObservability, BackendSpec, DecoderBackend};
 #[cfg(any(test, feature = "chaos"))]
 pub use chaos::{FaultPlan, RoundFault};
 pub use error::{DecodeError, InvalidDefectReason};
-pub use evaluation::{
-    evaluate_circuit, evaluate_circuit_sharded, evaluate_corpus, evaluate_decoder,
-    evaluate_decoder_sharded, phase_profile, EvaluationResult, PhaseProfile,
-};
+pub use evaluation::{phase_profile, EvaluationResult, PhaseProfile};
 pub use micro::{MicroBlossomConfig, MicroBlossomDecoder};
 pub use outcome::{DecodeOutcome, LatencyBreakdown};
 pub use parity::ParityBlossomDecoder;

@@ -598,13 +598,6 @@ impl DecoderBackend for MicroBlossomDecoder {
         self.aborted
     }
 
-    /// Round-wise fusion is what the stream configuration *is*: the decoder
-    /// folds each round into the running solution on arrival, so only the
-    /// post-last-round work sits on the latency path.
-    fn supports_round_ingestion(&self) -> bool {
-        self.config.stream_decoding
-    }
-
     /// With the LUT armed the round is loaded undriven and held in the
     /// layer buffer; the shot decodes whole at
     /// [`DecoderBackend::finish_rounds`].
@@ -668,12 +661,6 @@ impl DecoderBackend for MicroBlossomDecoder {
         self.driver.restore_context(&mut bank.dual);
         std::mem::swap(&mut self.primal, &mut bank.primal);
         self.bank_switches += 1;
-    }
-
-    fn context_discard(&mut self, slot: usize) {
-        if let Some(bank) = self.banks.get_mut(slot) {
-            *bank = None;
-        }
     }
 
     fn accel_observability(&self) -> Option<AccelObservability> {
@@ -854,7 +841,6 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(31);
         let mut reference = MicroBlossomDecoder::full(Arc::clone(&graph), Some(3));
         let mut incremental = MicroBlossomDecoder::full(Arc::clone(&graph), Some(3));
-        assert!(DecoderBackend::supports_round_ingestion(&incremental));
         for _ in 0..40 {
             let shot = sampler.sample(&mut rng);
             let want = reference.decode(&shot.syndrome);
@@ -871,14 +857,21 @@ mod tests {
 
     #[test]
     fn batch_configurations_do_not_claim_round_ingestion() {
+        // only an unarmed stream decoder ingests rounds on arrival, so only
+        // it banks contexts; the armed one holds its rounds to the last one
         let graph = Arc::new(PhenomenologicalCode::rotated(3, 3, 0.02).decoding_graph());
         let batch = MicroBlossomDecoder::new(
             Arc::clone(&graph),
             MicroBlossomConfig::with_parallel_primal(&graph, Some(3)),
         );
-        assert!(!DecoderBackend::supports_round_ingestion(&batch));
-        let stream = MicroBlossomDecoder::full(graph, Some(3));
-        assert!(DecoderBackend::supports_round_ingestion(&stream));
+        assert!(!DecoderBackend::supports_context_switching(&batch));
+        let armed = MicroBlossomDecoder::full(Arc::clone(&graph), Some(3));
+        assert!(!DecoderBackend::supports_context_switching(&armed));
+        let unarmed = MicroBlossomDecoder::new(
+            Arc::clone(&graph),
+            MicroBlossomConfig::full(&graph, Some(3)).without_predecoder(),
+        );
+        assert!(DecoderBackend::supports_context_switching(&unarmed));
     }
 
     #[test]

@@ -481,10 +481,12 @@ impl BackendCache {
     /// Drops the cached backend for `(spec, graph)`. Called after a caught
     /// panic left the backend in an unknown state: the next `get_or_build`
     /// constructs a fresh one, so the worker's capacity self-heals instead
-    /// of decoding on poisoned state.
-    fn discard(&mut self, spec: &BackendSpec, graph: &Arc<DecodingGraph>) {
+    /// of decoding on poisoned state. Returns whether a backend was cached.
+    fn discard(&mut self, spec: &BackendSpec, graph: &Arc<DecodingGraph>) -> bool {
         let key = Self::key_for(spec, graph);
+        let cached = self.entries.len();
         self.entries.retain(|entry| entry.key != key);
+        self.entries.len() < cached
     }
 
     /// Returns the cached backend for `(spec, graph)`, building (and caching)
@@ -943,9 +945,10 @@ impl Drop for DecodePool {
 /// panicking *shot* records a typed [`DecodeError::WorkerPanic`] in its own
 /// slot (batch) or ticket (stream), the worker discards its poisoned cached
 /// backend, rebuilds it, and keeps serving — pool capacity self-heals
-/// without tearing down the thread. Only panics outside any shot
-/// (infrastructure failures such as a backend build) fall through to the
-/// job-level handler and surface on the submitting thread.
+/// without tearing down the thread. Every other panic — a window decode, or
+/// an infrastructure failure such as a backend build — falls through to the
+/// job-level handler, which discards the job's cached backend the same way
+/// and surfaces the panic on the submitting thread.
 fn worker_main(
     index: usize,
     receiver: mpsc::Receiver<Arc<JobState>>,
@@ -1126,10 +1129,14 @@ fn run_job(
     }
     let mut done = job.done.lock().expect("decode pool mutex poisoned");
     if let Err(payload) = result {
-        // job-level (infrastructure) panic: nothing shot-scoped to blame, so
-        // the whole job is poisoned and the submitter decides how to surface
-        // it
+        // job-level panic: nothing shot-scoped to blame (a window decode, or
+        // an infrastructure failure), so the whole job is poisoned and the
+        // submitter decides how to surface it. The job's backend may hold
+        // mid-decode state: drop it so the next job builds a fresh one
         telemetry.worker_panics.fetch_add(1, Ordering::Relaxed);
+        if cache.discard(&job.spec, &job.graph) {
+            telemetry.worker_respawns.fetch_add(1, Ordering::Relaxed);
+        }
         done.panic.get_or_insert(panic_message(payload));
     }
     done.remaining -= 1;
@@ -1343,6 +1350,18 @@ impl ShardedPipeline {
     /// Samples, decodes, and aggregates `shots` circuit-level shots; the
     /// circuit-noise analogue of [`Self::evaluate`] (see
     /// [`Self::run_circuit_sampled`]).
+    ///
+    /// ```
+    /// use mb_decoder::{BackendSpec, ShardedPipeline};
+    /// use mb_graph::circuit::CircuitLevelCode;
+    /// use std::sync::Arc;
+    ///
+    /// let circuit = Arc::new(CircuitLevelCode::rotated(3, 3, 0.01).compile());
+    /// let pipeline =
+    ///     ShardedPipeline::new(BackendSpec::micro_full(Some(3)), Arc::clone(circuit.graph()));
+    /// let result = pipeline.evaluate_circuit(&circuit, 200, 7);
+    /// assert_eq!(result.shots, 200);
+    /// ```
     pub fn evaluate_circuit(
         &self,
         circuit: &Arc<CompiledCircuit>,

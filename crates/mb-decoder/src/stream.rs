@@ -84,7 +84,7 @@ use mb_graph::{DecodingGraph, ObservableMask, VertexIndex};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// How long an idle serving worker parks on the work condvar before
@@ -647,10 +647,6 @@ pub(crate) struct StreamShared {
     /// feeders; `None` outside chaos tests.
     #[cfg(any(test, feature = "chaos"))]
     faults: Option<Arc<FaultPlan>>,
-    /// Aggregated counters of windowed shots opened through
-    /// [`StreamDecoder::begin_windowed_shot`]; each finished (or abandoned)
-    /// [`crate::WindowedFeeder`] folds its session totals in here.
-    windowed: Arc<crate::window::WindowCounters>,
 }
 
 impl StreamShared {
@@ -684,24 +680,58 @@ impl StreamShared {
             worker_panics: AtomicU64::new(0),
             #[cfg(any(test, feature = "chaos"))]
             faults,
-            windowed: Arc::new(crate::window::WindowCounters::default()),
         }
     }
 
-    /// Enqueues a request, blocking while the queue is at capacity.
-    ///
-    /// The reply channel is a rendezvous-free `sync_channel(1)`: exactly one
-    /// outcome is ever sent per ticket, and the bounded flavor allocates its
-    /// slot buffer *here*, on the producer thread. An unbounded `channel()`
-    /// defers its first block allocation to the first `send` — which would
-    /// put that allocation (and its page faults) inside the worker's decode
-    /// loop, where it dominates per-shot cost at saturation.
+    /// Enqueues a request, blocking while the queue is at capacity. The
+    /// outcome cell is allocated here, on the producer thread, before the
+    /// queue lock is taken (see [`OutcomeCell`]).
     fn push(
         &self,
         request: Request,
         deadline: Option<ArmedDeadline>,
     ) -> Result<Ticket, DecodeError> {
+        let reply = OutcomeCell::pair();
+        let state = self.wait_for_space()?;
+        Ok(self.enqueue(state, reply, request, deadline))
+    }
+
+    /// Enqueues a request if a slot is free; hands the request back when it
+    /// cannot be queued right now — the queue is full (or forced full by an
+    /// injected fault), or the stream is closed (permanently full).
+    fn try_push(&self, request: Request) -> Result<Ticket, Request> {
+        let reply = OutcomeCell::pair();
+        #[cfg(any(test, feature = "chaos"))]
+        if let Some(plan) = &self.faults {
+            if plan.steal_queue_full() {
+                return Err(request);
+            }
+        }
+        let state = self.state.lock().expect("stream queue mutex poisoned");
+        if state.closed || state.queue.len() >= self.capacity {
+            return Err(request);
+        }
+        Ok(self.enqueue(state, reply, request, None))
+    }
+
+    /// Allocates a context slot and enqueues its ownership claim, blocking
+    /// while the queue is at capacity. Returns the ticket plus the slot
+    /// handle `(slot, generation)` for the feeder.
+    fn push_open_rounds(
+        &self,
+        expected: ObservableMask,
+    ) -> Result<(Ticket, usize, u64), DecodeError> {
         let (reply, cell) = OutcomeCell::pair();
+        let mut state = self.wait_for_space()?;
+        let index = state.next_index;
+        let (slot, generation) = state.contexts.allocate(index, expected, reply.clone());
+        let ticket = self.enqueue(state, (reply, cell), Request::OpenRounds { slot }, None);
+        Ok((ticket, slot, generation))
+    }
+
+    /// Takes the queue lock once a slot is free (backpressure); a closed
+    /// stream reports [`DecodeError::StreamClosed`].
+    fn wait_for_space(&self) -> Result<MutexGuard<'_, StreamState>, DecodeError> {
         let mut state = self.state.lock().expect("stream queue mutex poisoned");
         while state.queue.len() >= self.capacity && !state.closed {
             state.waiting_producers += 1;
@@ -711,6 +741,19 @@ impl StreamShared {
         if state.closed {
             return Err(DecodeError::StreamClosed);
         }
+        Ok(state)
+    }
+
+    /// The one enqueue behind every submission: under the held lock, gives
+    /// the request the next submission index, queues it, counts it, and
+    /// wakes a parked worker once the lock is released.
+    fn enqueue(
+        &self,
+        mut state: MutexGuard<'_, StreamState>,
+        (reply, cell): (OutcomeSender, Arc<OutcomeCell>),
+        request: Request,
+        deadline: Option<ArmedDeadline>,
+    ) -> Ticket {
         let index = state.next_index;
         state.next_index += 1;
         state.queue.push_back(StreamItem {
@@ -726,76 +769,7 @@ impl StreamShared {
         if wake_worker {
             self.work.notify_one();
         }
-        Ok(Ticket { index, cell })
-    }
-
-    /// Enqueues a request if a slot is free; hands the request back when it
-    /// cannot be queued right now — the queue is full (or forced full by an
-    /// injected fault), or the stream is closed (permanently full).
-    fn try_push(&self, request: Request) -> Result<Ticket, Request> {
-        let (reply, cell) = OutcomeCell::pair();
-        #[cfg(any(test, feature = "chaos"))]
-        if let Some(plan) = &self.faults {
-            if plan.steal_queue_full() {
-                return Err(request);
-            }
-        }
-        let mut state = self.state.lock().expect("stream queue mutex poisoned");
-        if state.closed || state.queue.len() >= self.capacity {
-            return Err(request);
-        }
-        let index = state.next_index;
-        state.next_index += 1;
-        state.queue.push_back(StreamItem {
-            index,
-            request,
-            reply,
-            deadline: None,
-        });
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        self.events.fetch_add(1, Ordering::Relaxed);
-        let wake_worker = state.waiting_workers > 0;
-        drop(state);
-        if wake_worker {
-            self.work.notify_one();
-        }
-        Ok(Ticket { index, cell })
-    }
-
-    /// Allocates a context slot and enqueues its ownership claim, blocking
-    /// while the queue is at capacity. Returns the ticket plus the slot
-    /// handle `(slot, generation)` for the feeder.
-    fn push_open_rounds(
-        &self,
-        expected: ObservableMask,
-    ) -> Result<(Ticket, usize, u64), DecodeError> {
-        let (reply, cell) = OutcomeCell::pair();
-        let mut state = self.state.lock().expect("stream queue mutex poisoned");
-        while state.queue.len() >= self.capacity && !state.closed {
-            state.waiting_producers += 1;
-            state = self.space.wait(state).expect("stream queue mutex poisoned");
-            state.waiting_producers -= 1;
-        }
-        if state.closed {
-            return Err(DecodeError::StreamClosed);
-        }
-        let index = state.next_index;
-        state.next_index += 1;
-        let (slot, generation) = state.contexts.allocate(index, expected, reply.clone());
-        state.queue.push_back(StreamItem {
-            index,
-            request: Request::OpenRounds { slot },
-            reply,
-            deadline: None,
-        });
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        self.events.fetch_add(1, Ordering::Relaxed);
-        let wake_worker = state.waiting_workers > 0;
-        drop(state);
-        if wake_worker {
-            self.work.notify_one();
-        }
-        Ok((Ticket { index, cell }, slot, generation))
+        Ticket { index, cell }
     }
 
     /// Routes one measurement round to context `slot`: buffers it (into a
@@ -825,12 +799,7 @@ impl StreamShared {
             }
         }
         let mut round = state.round_pool.pop().unwrap_or_default();
-        round.clear();
-        for &d in defects {
-            if !round.contains(&d) {
-                round.push(d);
-            }
-        }
+        dedupe_round_into(defects, &mut round);
         let eager = self.eager_routing.load(Ordering::Relaxed);
         let owner_to_wake = {
             let ctx = state
@@ -972,9 +941,6 @@ impl StreamShared {
             bank_switches: self.bank_switches.load(Ordering::Relaxed),
             rounds_routed: state.contexts.rounds_routed,
             finish_p99_us: state.contexts.finish_latency_quantile_us(0.99),
-            windows_decoded: self.windowed.windows_decoded.load(Ordering::Relaxed),
-            seam_redecodes: self.windowed.seam_redecodes.load(Ordering::Relaxed),
-            max_resident_rounds: self.windowed.max_resident_rounds.load(Ordering::Relaxed),
             degraded_shots: self.degraded.load(Ordering::Relaxed),
             deadline_misses: self.deadline_misses.load(Ordering::Relaxed),
             worker_panics: self.worker_panics.load(Ordering::Relaxed),
@@ -1663,6 +1629,53 @@ impl Ticket {
     }
 }
 
+/// Checks defect indices against `graph` before anything is queued: the
+/// one validator behind [`StreamDecoder::submit`], [`RoundFeeder::push_round`]
+/// and [`crate::WindowedFeeder::try_push_round`]. Every defect must name a
+/// physical (non-virtual) vertex of the graph. With `round = Some(r)` the
+/// defects are measurement round `r`: the graph must have a layer for it
+/// ([`DecodeError::LayerOverflow`]) and every defect must belong to it.
+pub(crate) fn validate_defects(
+    graph: &DecodingGraph,
+    round: Option<usize>,
+    defects: &[VertexIndex],
+) -> Result<(), DecodeError> {
+    let num_layers = graph.num_layers();
+    if let Some(round) = round.filter(|&round| round >= num_layers) {
+        return Err(DecodeError::LayerOverflow { round, num_layers });
+    }
+    let vertex_count = graph.vertex_count();
+    for &defect in defects {
+        let reason = if defect >= vertex_count {
+            InvalidDefectReason::OutOfRange { vertex_count }
+        } else if graph.is_virtual(defect) {
+            InvalidDefectReason::Virtual
+        } else {
+            match round.map(|round| (round, graph.layer_of(defect))) {
+                Some((round, layer)) if layer != round => {
+                    InvalidDefectReason::WrongRound { round, layer }
+                }
+                _ => continue,
+            }
+        };
+        return Err(DecodeError::InvalidDefect { defect, reason });
+    }
+    Ok(())
+}
+
+/// Copies one round's defects into `out` without repeats: a duplicated
+/// syndrome bit is still one defect, and forwarding it twice would
+/// double-count it (and double-load it into backends without their own
+/// dedupe).
+pub(crate) fn dedupe_round_into(defects: &[VertexIndex], out: &mut Vec<VertexIndex>) {
+    out.clear();
+    for &defect in defects {
+        if !out.contains(&defect) {
+            out.push(defect);
+        }
+    }
+}
+
 /// Error returned by [`StreamDecoder::try_submit`].
 #[derive(Debug)]
 pub enum TrySubmitError {
@@ -1748,39 +1761,7 @@ impl RoundFeeder {
 
     /// Checks `defects` against the round this feeder expects next.
     fn validate(&self, defects: &[VertexIndex]) -> Result<(), DecodeError> {
-        let num_layers = self.graph.num_layers();
-        if self.pushed >= num_layers {
-            return Err(DecodeError::LayerOverflow {
-                round: self.pushed,
-                num_layers,
-            });
-        }
-        let vertex_count = self.graph.vertex_count();
-        for &defect in defects {
-            if defect >= vertex_count {
-                return Err(DecodeError::InvalidDefect {
-                    defect,
-                    reason: InvalidDefectReason::OutOfRange { vertex_count },
-                });
-            }
-            if self.graph.is_virtual(defect) {
-                return Err(DecodeError::InvalidDefect {
-                    defect,
-                    reason: InvalidDefectReason::Virtual,
-                });
-            }
-            let layer = self.graph.layer_of(defect);
-            if layer != self.pushed {
-                return Err(DecodeError::InvalidDefect {
-                    defect,
-                    reason: InvalidDefectReason::WrongRound {
-                        round: self.pushed,
-                        layer,
-                    },
-                });
-            }
-        }
-        Ok(())
+        validate_defects(&self.graph, Some(self.pushed), defects)
     }
 
     /// Routes an already-validated round and advances the round counter.
@@ -1901,17 +1882,6 @@ pub struct StreamStats {
     /// microseconds (from a log2 histogram, upper bucket bound). `None`
     /// when no round-fed shot completed.
     pub finish_p99_us: Option<f64>,
-    /// Windows decoded across every [`StreamDecoder::begin_windowed_shot`]
-    /// session (empty windows included; folded in when each windowed shot
-    /// finishes).
-    pub windows_decoded: u64,
-    /// Seam re-decodes performed across every windowed session.
-    pub seam_redecodes: u64,
-    /// Peak rounds staged by any windowed session before its window was
-    /// handed to the pool — at most `commit_rounds + 2·overlap_rounds`,
-    /// independent of the stream length (the bounded-memory guarantee,
-    /// observable).
-    pub max_resident_rounds: u64,
     /// Shots completed by the union-find degradation fallback after missing
     /// their deadline (their outcomes carry [`ShotOutcome::degraded`]).
     pub degraded_shots: u64,
@@ -2002,7 +1972,6 @@ impl StreamBuilder {
             pool: self.pool,
             workers: participants,
             closed: false,
-            windowed_plans: Mutex::new(Vec::new()),
         }
     }
 }
@@ -2016,10 +1985,6 @@ pub struct StreamDecoder {
     pool: Option<Arc<DecodePool>>,
     workers: usize,
     closed: bool,
-    /// Window plans built by [`Self::begin_windowed_shot`], cached per
-    /// config so repeated windowed shots share sub-graph views (and the
-    /// backend caches keyed on them).
-    windowed_plans: Mutex<Vec<(crate::WindowConfig, Arc<crate::WindowPlan>)>>,
 }
 
 impl std::fmt::Debug for StreamDecoder {
@@ -2059,35 +2024,13 @@ impl StreamDecoder {
         Self::builder(spec, graph).start()
     }
 
-    /// Validates a shot's defect indices against the decoding graph before
-    /// anything is queued: every defect must name a physical (non-virtual)
-    /// vertex.
-    fn validate_shot(&self, shot: &Shot) -> Result<(), DecodeError> {
-        let vertex_count = self.graph.vertex_count();
-        for &defect in &shot.syndrome.defects {
-            if defect >= vertex_count {
-                return Err(DecodeError::InvalidDefect {
-                    defect,
-                    reason: InvalidDefectReason::OutOfRange { vertex_count },
-                });
-            }
-            if self.graph.is_virtual(defect) {
-                return Err(DecodeError::InvalidDefect {
-                    defect,
-                    reason: InvalidDefectReason::Virtual,
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Submits a fully materialized shot; blocks while the queue is full
     /// (backpressure). Defect indices are validated up front
     /// ([`DecodeError::InvalidDefect`]) so a malformed shot never reaches a
     /// decoding worker; a closed stream reports
     /// [`DecodeError::StreamClosed`].
     pub fn submit(&self, shot: Shot) -> Result<Ticket, DecodeError> {
-        self.validate_shot(&shot)?;
+        validate_defects(&self.graph, None, &shot.syndrome.defects)?;
         self.shared.push(Request::Shot(shot), None)
     }
 
@@ -2100,7 +2043,7 @@ impl StreamDecoder {
         shot: Shot,
         policy: DeadlinePolicy,
     ) -> Result<Ticket, DecodeError> {
-        self.validate_shot(&shot)?;
+        validate_defects(&self.graph, None, &shot.syndrome.defects)?;
         self.shared
             .push(Request::Shot(shot), Some(ArmedDeadline::arm(policy)))
     }
@@ -2110,9 +2053,8 @@ impl StreamDecoder {
     /// closed stream is permanently full). Defects are validated like
     /// [`Self::submit`].
     pub fn try_submit(&self, shot: Shot) -> Result<Ticket, TrySubmitError> {
-        if let Err(error) = self.validate_shot(&shot) {
-            return Err(TrySubmitError::Invalid(error));
-        }
+        validate_defects(&self.graph, None, &shot.syndrome.defects)
+            .map_err(TrySubmitError::Invalid)?;
         self.shared
             .try_push(Request::Shot(shot))
             .map_err(|request| match request {
@@ -2173,59 +2115,6 @@ impl StreamDecoder {
             #[cfg(any(test, feature = "chaos"))]
             held: None,
         })
-    }
-
-    /// Opens a *windowed* round submission: rounds pushed into the returned
-    /// [`crate::WindowedFeeder`] are split into overlapping windows per
-    /// `config`, each decoded as an independent job on this stream's pool
-    /// (on any worker — windowed shots ride the pool directly rather than a
-    /// [`ContextPool`] slot) and fused at the seams. Resident state is
-    /// bounded by the window size, so the stream may run for any number of
-    /// rounds; committed corrections flow out of the feeder incrementally
-    /// and the session's counters fold into [`Self::stats`] when it
-    /// finishes. See [`crate::WindowedDecoder`] for the one-shot front-end.
-    ///
-    /// The window plan for `config` is built on first use and cached on the
-    /// decoder, so per-shot cost does not include view construction.
-    ///
-    /// A closed stream (the service shut down underneath this handle)
-    /// reports [`DecodeError::StreamClosed`].
-    pub fn begin_windowed_shot(
-        &self,
-        config: crate::WindowConfig,
-        expected: ObservableMask,
-    ) -> Result<crate::WindowedFeeder, DecodeError> {
-        if self
-            .shared
-            .state
-            .lock()
-            .expect("stream queue mutex poisoned")
-            .closed
-        {
-            return Err(DecodeError::StreamClosed);
-        }
-        let plan = {
-            let mut plans = self
-                .windowed_plans
-                .lock()
-                .expect("windowed plan cache mutex poisoned");
-            match plans.iter().find(|(c, _)| *c == config) {
-                Some((_, plan)) => Arc::clone(plan),
-                None => {
-                    let plan = Arc::new(crate::WindowPlan::new(Arc::clone(&self.graph), config));
-                    plans.push((config, Arc::clone(&plan)));
-                    plan
-                }
-            }
-        };
-        Ok(crate::WindowedFeeder::new(
-            self.spec.clone(),
-            Arc::clone(&self.graph),
-            plan,
-            self.pool.clone(),
-            expected,
-            Some(Arc::clone(&self.shared.windowed)),
-        ))
     }
 
     /// Round feeders currently open (shots begun but not finished).
@@ -3071,46 +2960,5 @@ mod tests {
         // sequential feeders recycled one slot instead of growing the pool:
         // a dropped feeder frees its context (and bank id) for reuse
         assert_eq!(stats.contexts_peak, 1);
-    }
-
-    #[test]
-    fn windowed_shots_fold_into_stream_stats() {
-        let graph = Arc::new(PhenomenologicalCode::rotated(3, 9, 0.04).decoding_graph());
-        let pool = Arc::new(DecodePool::new(2));
-        let stream = StreamDecoder::builder(BackendSpec::micro_full(Some(3)), Arc::clone(&graph))
-            .workers(1)
-            .pool(Arc::clone(&pool))
-            .start();
-        let shots = sample_shots(&graph, 4, 11);
-        let reference: Vec<u64> = {
-            let decoder = crate::WindowedDecoder::new(
-                BackendSpec::micro_full(Some(3)),
-                Arc::clone(&graph),
-                crate::WindowConfig::new(3, 1),
-            )
-            .with_pool(Arc::clone(&pool));
-            shots
-                .iter()
-                .map(|shot| decoder.decode_shot(shot).observable)
-                .collect()
-        };
-        for (shot, &expected_obs) in shots.iter().zip(&reference) {
-            let mut feeder = stream
-                .begin_windowed_shot(crate::WindowConfig::new(3, 1), shot.observable)
-                .unwrap();
-            for round in shot.syndrome.split_by_layer(&graph) {
-                feeder.push_round(&round);
-            }
-            let outcome = feeder.finish();
-            assert_eq!(outcome.rounds, 9);
-            // a stream-opened windowed session matches the one-shot front-end
-            assert_eq!(outcome.observable, expected_obs);
-        }
-        let stats = stream.close();
-        // 3 windows per shot × 4 shots, folded in at each session's finish
-        assert_eq!(stats.windows_decoded, 12);
-        assert!(stats.max_resident_rounds <= 5); // commit + 2·overlap
-                                                 // windowed sessions ride the pool directly, not the stream queue
-        assert_eq!(stats.submitted, 0);
     }
 }

@@ -53,13 +53,13 @@ use crate::backend::BackendSpec;
 use crate::error::{DecodeError, InvalidDefectReason};
 use crate::outcome::LatencyBreakdown;
 use crate::pipeline::{DecodePool, JobState};
+use crate::stream::{dedupe_round_into, validate_defects};
 use mb_blossom::PerfectMatching;
 use mb_graph::dijkstra::path_between;
 use mb_graph::syndrome::Shot;
 use mb_graph::window::{SeamSide, WindowView};
 use mb_graph::{DecodingGraph, ObservableMask, SyndromePattern, VertexIndex};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// How a round stream is split into windows.
@@ -114,8 +114,7 @@ struct PlanWindow {
 /// graph `Arc` — and therefore one cached backend per pool worker.
 ///
 /// Plans are immutable and shareable; build one per `(graph, config)` and
-/// reuse it across shots (the [`WindowedDecoder`] and
-/// [`crate::StreamDecoder::begin_windowed_shot`] do this for you).
+/// reuse it across shots (the [`WindowedDecoder`] does this for you).
 #[derive(Debug)]
 pub struct WindowPlan {
     graph: Arc<DecodingGraph>,
@@ -199,25 +198,6 @@ fn canonicalize(canonical: &mut Vec<Arc<DecodingGraph>>, view: &mut WindowView) 
     }
     if canonical.len() < CANONICAL_GRAPH_CAP {
         canonical.push(Arc::clone(view.graph()));
-    }
-}
-
-/// Windowed-session counters a [`crate::StreamDecoder`] aggregates across
-/// its windowed shots (surfaced in [`crate::StreamStats`]).
-#[derive(Debug, Default)]
-pub(crate) struct WindowCounters {
-    pub(crate) windows_decoded: AtomicU64,
-    pub(crate) seam_redecodes: AtomicU64,
-    pub(crate) max_resident_rounds: AtomicU64,
-}
-
-impl WindowCounters {
-    /// Folds one finished (or abandoned) windowed shot's counters in.
-    fn fold(&self, windows: u64, seams: u64, resident: u64) {
-        self.windows_decoded.fetch_add(windows, Ordering::Relaxed);
-        self.seam_redecodes.fetch_add(seams, Ordering::Relaxed);
-        self.max_resident_rounds
-            .fetch_max(resident, Ordering::Relaxed);
     }
 }
 
@@ -362,7 +342,6 @@ impl WindowedDecoder {
             Arc::clone(&self.plan),
             self.pool.clone(),
             expected,
-            None,
         )
     }
 
@@ -381,8 +360,7 @@ impl WindowedDecoder {
 
 /// Incremental round-by-round submission of one windowed shot.
 ///
-/// Created by [`WindowedDecoder::begin_shot`] or
-/// [`crate::StreamDecoder::begin_windowed_shot`]. Push each measurement
+/// Created by [`WindowedDecoder::begin_shot`]. Push each measurement
 /// round as it arrives; a round is staged into every window whose view
 /// covers it, and whenever a window's view fills (its commit region plus
 /// trailing context) the window is handed to the pool and its staged
@@ -402,9 +380,6 @@ pub struct WindowedFeeder {
     plan: Arc<WindowPlan>,
     pool: Option<Arc<DecodePool>>,
     expected: ObservableMask,
-    /// Stream-level counter sink, when the session was opened through a
-    /// [`crate::StreamDecoder`].
-    sink: Option<Arc<WindowCounters>>,
     /// Rounds received so far (== the next round's layer index).
     next_round: usize,
     /// Windows currently staging rounds (each in-flight round lands in
@@ -446,13 +421,12 @@ impl std::fmt::Debug for WindowedFeeder {
 }
 
 impl WindowedFeeder {
-    pub(crate) fn new(
+    fn new(
         spec: BackendSpec,
         graph: Arc<DecodingGraph>,
         plan: Arc<WindowPlan>,
         pool: Option<Arc<DecodePool>>,
         expected: ObservableMask,
-        sink: Option<Arc<WindowCounters>>,
     ) -> Self {
         let max_pending = match &pool {
             Some(pool) => pool.workers(),
@@ -466,7 +440,6 @@ impl WindowedFeeder {
             plan,
             pool,
             expected,
-            sink,
             next_round: 0,
             staged: VecDeque::new(),
             next_staged: 0,
@@ -533,37 +506,8 @@ impl WindowedFeeder {
         if self.finished {
             return Err(DecodeError::FeederClosed);
         }
-        let num_layers = self.graph.num_layers();
-        if self.next_round >= num_layers {
-            return Err(DecodeError::LayerOverflow {
-                round: self.next_round,
-                num_layers,
-            });
-        }
         let t = self.next_round;
-        for &d in defects {
-            if d >= self.graph.vertex_count() {
-                return Err(DecodeError::InvalidDefect {
-                    defect: d,
-                    reason: InvalidDefectReason::OutOfRange {
-                        vertex_count: self.graph.vertex_count(),
-                    },
-                });
-            }
-            if self.graph.is_virtual(d) {
-                return Err(DecodeError::InvalidDefect {
-                    defect: d,
-                    reason: InvalidDefectReason::Virtual,
-                });
-            }
-            let layer = self.graph.layer_of(d);
-            if layer != t {
-                return Err(DecodeError::InvalidDefect {
-                    defect: d,
-                    reason: InvalidDefectReason::WrongRound { round: t, layer },
-                });
-            }
-        }
+        validate_defects(&self.graph, Some(t), defects)?;
         // open staging for every window whose view now covers this round
         while self.next_staged < self.plan.windows.len()
             && self.plan.windows[self.next_staged].view.layer_lo() <= t
@@ -574,12 +518,7 @@ impl WindowedFeeder {
             });
             self.next_staged += 1;
         }
-        self.round_buf.clear();
-        for &d in defects {
-            if !self.round_buf.contains(&d) {
-                self.round_buf.push(d);
-            }
-        }
+        dedupe_round_into(defects, &mut self.round_buf);
         for stage in &mut self.staged {
             let view = &self.plan.windows[stage.index].view;
             debug_assert!(view.layer_lo() <= t && t < view.layer_hi());
@@ -622,11 +561,6 @@ impl WindowedFeeder {
     /// Rounds pushed so far.
     pub fn rounds_pushed(&self) -> usize {
         self.next_round
-    }
-
-    /// Window jobs submitted and not yet fused.
-    pub fn pending_windows(&self) -> usize {
-        self.pending.len()
     }
 
     /// Pads missing rounds empty and fuses every remaining window and seam,
@@ -831,8 +765,8 @@ impl WindowedFeeder {
     }
 
     /// Pads the stream to the graph's layer count, fuses everything still
-    /// pending, and folds the session counters into the pool and stream
-    /// sinks. Idempotent.
+    /// pending, and folds the session's seam re-decodes into the pool's
+    /// counter. Idempotent.
     fn run_to_end(&mut self) {
         if self.finished {
             return;
@@ -851,19 +785,8 @@ impl WindowedFeeder {
             self.carry.is_empty(),
             "the last window has no upper seam to defer to"
         );
-        self.fold_counters();
-        self.finished = true;
-    }
-
-    fn fold_counters(&mut self) {
         self.pool().note_seam_redecodes(self.seam_redecodes);
-        if let Some(sink) = &self.sink {
-            sink.fold(
-                self.windows_decoded,
-                self.seam_redecodes,
-                self.max_resident_rounds as u64,
-            );
-        }
+        self.finished = true;
     }
 }
 
@@ -885,7 +808,7 @@ impl Drop for WindowedFeeder {
                 let _ = pool.wait_job(&job);
             }
         }
-        self.fold_counters();
+        self.pool().note_seam_redecodes(self.seam_redecodes);
         self.finished = true;
     }
 }
@@ -1071,6 +994,27 @@ mod tests {
         let shot = sampler.sample(&mut rng);
         let outcome = decoder.decode_shot(&shot);
         assert_eq!(outcome.rounds, graph.num_layers());
+    }
+
+    #[test]
+    fn panicking_window_jobs_respawn_their_backend() {
+        // a window decode that panics leaves its backend mid-decode: the
+        // worker must drop it, count the respawn, and build a fresh one for
+        // the next window instead of decoding on the poisoned state
+        let graph = phenomenological(4, 0.01);
+        let defect = (0..graph.vertex_count())
+            .find(|&v| !graph.is_virtual(v))
+            .unwrap();
+        let pool = DecodePool::new(1);
+        for _ in 0..2 {
+            let syndrome = SyndromePattern::new(vec![defect]);
+            let job = pool.submit_window(&BackendSpec::PanicOnDecode, &graph, syndrome);
+            let message = pool.wait_job(&job).expect("the window decode panicked");
+            assert!(message.contains("backend exploded"), "{message}");
+        }
+        assert_eq!(pool.worker_panics(), 2);
+        assert_eq!(pool.worker_respawns(), 2);
+        assert_eq!(pool.backends_built(), 2);
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //!   phenomenological noise for the micro-blossom backend — the §8
 //!   calibration property.
 
-use mb_decoder::evaluation::{evaluate_circuit, evaluate_circuit_sharded, evaluate_decoder};
 use mb_decoder::pipeline::{shot_rng, DecodePool, ShardedPipeline};
 use mb_decoder::stream::StreamDecoder;
 use mb_decoder::BackendSpec;
@@ -180,9 +179,12 @@ fn batch_and_stream_agree_bit_identically_on_circuit_shots() {
 fn circuit_sampling_is_shard_count_invariant() {
     let circuit = Arc::new(CircuitLevelCode::rotated(3, 3, 0.03).compile());
     let spec = BackendSpec::micro_full(Some(3));
-    let reference = evaluate_circuit_sharded(&spec, &circuit, 150, 99, 1);
+    let pipeline = |shards| {
+        ShardedPipeline::new(spec.clone(), Arc::clone(circuit.graph())).with_shards(shards)
+    };
+    let reference = pipeline(1).evaluate_circuit(&circuit, 150, 99);
     for shards in [2usize, 4, 8] {
-        let result = evaluate_circuit_sharded(&spec, &circuit, 150, 99, shards);
+        let result = pipeline(shards).evaluate_circuit(&circuit, 150, 99);
         assert_eq!(result, reference, "shards={shards}");
     }
 }
@@ -198,8 +200,9 @@ fn circuit_level_logical_error_rate_is_below_phenomenological() {
     let spec = BackendSpec::micro_full(Some(d));
     let circuit = Arc::new(CircuitLevelCode::rotated(d, d, p).compile());
     let pheno = Arc::new(PhenomenologicalCode::rotated(d, d, p).decoding_graph());
-    let circuit_result = evaluate_circuit(&spec, &circuit, shots, 2025);
-    let pheno_result = evaluate_decoder(&spec, &pheno, shots, 2025);
+    let circuit_result = ShardedPipeline::new(spec.clone(), Arc::clone(circuit.graph()))
+        .evaluate_circuit(&circuit, shots, 2025);
+    let pheno_result = ShardedPipeline::new(spec, pheno).evaluate(shots, 2025);
     assert!(
         circuit_result.logical_error_rate() < pheno_result.logical_error_rate(),
         "circuit p_L {} should be strictly below phenomenological p_L {}",

@@ -3,7 +3,7 @@
 //! approximation never beats them while all decoders suppress errors as the
 //! code distance grows.
 
-use mb_decoder::{evaluate_decoder, BackendSpec};
+use mb_decoder::{BackendSpec, ShardedPipeline};
 use mb_graph::codes::CodeCapacityRotatedCode;
 use std::sync::Arc;
 
@@ -11,8 +11,10 @@ use std::sync::Arc;
 fn exact_decoders_have_identical_weight_behaviour() {
     let graph = Arc::new(CodeCapacityRotatedCode::new(5, 0.06).decoding_graph());
     let shots = 400;
-    let parity_eval = evaluate_decoder(&BackendSpec::Parity, &graph, shots, 31);
-    let micro_eval = evaluate_decoder(&BackendSpec::micro_full(Some(5)), &graph, shots, 31);
+    let parity_eval =
+        ShardedPipeline::new(BackendSpec::Parity, Arc::clone(&graph)).evaluate(shots, 31);
+    let micro_eval = ShardedPipeline::new(BackendSpec::micro_full(Some(5)), Arc::clone(&graph))
+        .evaluate(shots, 31);
     let delta = (parity_eval.logical_error_rate() - micro_eval.logical_error_rate()).abs();
     assert!(
         delta <= 0.02,
@@ -27,8 +29,10 @@ fn union_find_never_beats_exact_mwpm() {
     for (d, p) in [(3usize, 0.08), (5, 0.08)] {
         let graph = Arc::new(CodeCapacityRotatedCode::new(d, p).decoding_graph());
         let shots = 1000;
-        let mwpm_eval = evaluate_decoder(&BackendSpec::Parity, &graph, shots, 5);
-        let uf_eval = evaluate_decoder(&BackendSpec::union_find(), &graph, shots, 5);
+        let mwpm_eval =
+            ShardedPipeline::new(BackendSpec::Parity, Arc::clone(&graph)).evaluate(shots, 5);
+        let uf_eval =
+            ShardedPipeline::new(BackendSpec::union_find(), Arc::clone(&graph)).evaluate(shots, 5);
         assert!(
             uf_eval.logical_error_rate() + 0.01 >= mwpm_eval.logical_error_rate(),
             "d={d}: UF {} unexpectedly beats MWPM {}",
@@ -45,7 +49,8 @@ fn larger_distance_suppresses_logical_errors_below_threshold() {
     let mut rates = Vec::new();
     for d in [3usize, 5] {
         let graph = Arc::new(CodeCapacityRotatedCode::new(d, p).decoding_graph());
-        let eval = evaluate_decoder(&BackendSpec::micro_full(Some(d)), &graph, shots, 13);
+        let eval = ShardedPipeline::new(BackendSpec::micro_full(Some(d)), Arc::clone(&graph))
+            .evaluate(shots, 13);
         rates.push(eval.logical_error_rate());
     }
     assert!(

@@ -4,12 +4,12 @@
 //! counts, same aggregate statistics — across 1/2/8 shards, on both a 2D
 //! (repetition) and a 3D (rotated, phenomenological noise) decoding graph.
 //!
-//! This is the determinism guarantee behind `evaluate_decoder`: shot `i` is
-//! sampled from an RNG derived from `(seed, i)`, so the shard layout cannot
-//! influence which shots are drawn or how they decode.
+//! This is the determinism guarantee behind `ShardedPipeline::evaluate`:
+//! shot `i` is sampled from an RNG derived from `(seed, i)`, so the shard
+//! layout cannot influence which shots are drawn or how they decode.
 
 use mb_decoder::pipeline::{shot_rng, skewed_workload, DecodePool, ShardedPipeline, ShotOutcome};
-use mb_decoder::{evaluate_decoder_sharded, BackendSpec};
+use mb_decoder::BackendSpec;
 use mb_graph::codes::{CodeCapacityRepetitionCode, CodeCapacityRotatedCode, PhenomenologicalCode};
 use mb_graph::syndrome::ErrorSampler;
 use mb_graph::DecodingGraph;
@@ -96,9 +96,10 @@ fn aggregate_logical_error_counts_are_identical_across_shard_counts() {
     let seed = 77;
     for (name, graph) in graphs() {
         for spec in specs(&graph) {
-            let reference = evaluate_decoder_sharded(&spec, &graph, shots, seed, 1);
+            let pipeline = ShardedPipeline::new(spec.clone(), Arc::clone(&graph));
+            let reference = pipeline.clone().with_shards(1).evaluate(shots, seed);
             for &shards in &SHARD_COUNTS[1..] {
-                let result = evaluate_decoder_sharded(&spec, &graph, shots, seed, shards);
+                let result = pipeline.clone().with_shards(shards).evaluate(shots, seed);
                 assert_eq!(
                     result.logical_errors,
                     reference.logical_errors,
